@@ -28,6 +28,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 FAILURES = []
+# Runnable by hand, but not one of BENCHMARK.json's workloads (README.md).
+EXTRA_WORKLOADS = ["cache-zipf-rw", "routed-r2"]
 
 
 def check(condition, what):
@@ -66,7 +68,7 @@ def check_schema(result, names, label):
 def main():
     end_to_end = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
     per_layer = {m["name"]: m["unit"] for m in SPEC["per_layer"]}
-    for workload in [w["name"] for w in SPEC["workloads"]]:
+    for workload in [w["name"] for w in SPEC["workloads"]] + EXTRA_WORKLOADS:
         for trace, names in ((0, end_to_end), (1, per_layer)):
             label = f"{workload} trace={trace}"
             code, result, done = run(workload, trace)

@@ -27,6 +27,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -95,6 +96,21 @@ def steal_share(before, after):
     return delta[7] / sum(delta) if sum(delta) > 0 else 0.0
 
 
+def reference_speed():
+    """Millions of iterations per CPU-second of a fixed integer loop.
+
+    Other tenants of a shared host slow this guest's CPUs without any
+    counter inside it showing it (they share cores and caches); this
+    reading, taken before and after the run, says how fast the host was.
+    """
+    iterations = 1_000_000
+    started = time.thread_time()
+    x = 1
+    for _ in range(iterations):
+        x = (x * 1103515245 + 12345) & 0xFFFFFFFF
+    return iterations / max(time.thread_time() - started, 1e-9) / 1e6
+
+
 def git_commit():
     if not (ROOT / ".git").exists():
         return None
@@ -135,7 +151,6 @@ def main():
         log(f"{ROOT} is not a quest source tree; nothing to build")
         return 2
 
-    load_before = load_average()
     build_type = build()
     if build_type is None:
         log("build failed")
@@ -159,6 +174,8 @@ def main():
         command.append("--tiny")
     if args.corrupt:
         command.append("--corrupt")
+    load_before = load_average()
+    speed_before = reference_speed()
     times_before = cpu_times()
     try:
         run = subprocess.run(command, stdout=subprocess.PIPE, stderr=sys.stderr,
@@ -180,6 +197,8 @@ def main():
         "load_average_before": load_before,
         "load_average_after": load_average(),
         "steal_share_during_run": steal_share(times_before, cpu_times()),
+        "reference_loop_mops_before": speed_before,
+        "reference_loop_mops_after": reference_speed(),
         "build_type": build_type,
         "git_commit": git_commit(),
         "source_sha256": source_digest(),

@@ -101,13 +101,11 @@ struct Connection {
 }  // namespace
 
 Load_result run_load(int port, const Workload& workload, Op_stream* stream,
-                     const std::vector<Op>& scheduled,
                      const Load_config& config,
                      const std::function<Proc_usage()>& sample) {
-  // Sub-millisecond wake-ups: the open loop's send times depend on it.
+  // Sub-millisecond wake-ups: the slice edges are sampled on time.
   ::prctl(PR_SET_TIMERSLACK, 1UL);
   Load_result result;
-  const bool open = config.loop == Loop::open;
   std::vector<Connection> connections(config.connections);
   const int epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd < 0) throw std::runtime_error("epoll_create1 failed");
@@ -128,12 +126,26 @@ Load_result run_load(int port, const Workload& workload, Op_stream* stream,
                                                      config.slices));
   }
   std::size_t next_edge = 0;
-  std::size_t next_scheduled = 0;
   std::size_t outstanding = 0;
   bool failed_connection = false;
   const double origin = now_seconds();
   auto clock = [origin] { return now_seconds() - origin; };
-  result.records.reserve(open ? scheduled.size() : 1 << 16);
+  result.records.reserve(1 << 16);
+
+  // A re-registration is a barrier on its slot: it goes out only when no
+  // optimize of the slot is in flight, and the slot's later ops wait for
+  // its ack. The server then resolves every optimize to the document
+  // version the op was generated against, whichever connection carries
+  // it. Ops held back keep their order in `deferred`.
+  const std::size_t slot_count = workload.slots.size();
+  std::vector<std::uint32_t> in_flight(slot_count, 0);
+  std::vector<std::uint32_t> held(slot_count, 0);
+  std::vector<char> registering(slot_count, 0);
+  std::deque<Op> deferred;
+  auto ready = [&](const Op& op) {
+    return registering[op.slot] == 0 &&
+           (op.kind == Op::Kind::optimize || in_flight[op.slot] == 0);
+  };
 
   auto issue = [&](std::size_t c, const Op& op) {
     const std::uint64_t index = result.records.size();
@@ -146,7 +158,12 @@ Load_result run_load(int port, const Workload& workload, Op_stream* stream,
     connection.unsent.emplace_back(connection.out.size(), index);
     ++connection.outstanding;
     ++outstanding;
-    if (op.kind == Op::Kind::reregister) connection.registers.push_back(index);
+    if (op.kind == Op::Kind::reregister) {
+      connection.registers.push_back(index);
+      registering[op.slot] = 1;
+    } else {
+      ++in_flight[op.slot];
+    }
   };
 
   auto flush = [&](std::size_t c) {
@@ -197,13 +214,30 @@ Load_result run_load(int port, const Workload& workload, Op_stream* stream,
     record.done = clock();
     --connections[c].outstanding;
     --outstanding;
+    if (record.op.kind == Op::Kind::reregister) {
+      registering[record.op.slot] = 0;
+    } else {
+      --in_flight[record.op.slot];
+    }
     return true;
   };
 
   auto refill = [&](std::size_t c) {
-    if (open || clock() >= end) return;
+    if (clock() >= end) return;
     while (connections[c].outstanding < config.window) {
-      issue(c, stream->next());
+      if (!deferred.empty() && ready(deferred.front())) {
+        --held[deferred.front().slot];
+        issue(c, deferred.front());
+        deferred.pop_front();
+        continue;
+      }
+      const Op op = stream->next();
+      if (held[op.slot] == 0 && ready(op)) {
+        issue(c, op);
+      } else {
+        ++held[op.slot];
+        deferred.push_back(op);
+      }
     }
   };
 
@@ -243,11 +277,9 @@ Load_result run_load(int port, const Workload& workload, Op_stream* stream,
     ++result.unmatched_errors;  // an event this client never asked for
   };
 
-  if (!open) {
-    for (std::size_t c = 0; c < connections.size(); ++c) {
-      refill(c);
-      flush(c);
-    }
+  for (std::size_t c = 0; c < connections.size(); ++c) {
+    refill(c);
+    flush(c);
   }
 
   epoll_event events[16];
@@ -260,28 +292,14 @@ Load_result run_load(int port, const Workload& workload, Op_stream* stream,
       result.edges[next_edge] = clock();
       ++next_edge;
     }
-    if (open) {
-      while (next_scheduled < scheduled.size() &&
-             scheduled[next_scheduled].due <= now) {
-        const Op& op = scheduled[next_scheduled++];
-        const std::size_t c = op.slot % connections.size();
-        issue(c, op);
-        flush(c);
-      }
-    }
     if (failed_connection) break;
-    const bool issuing =
-        open ? next_scheduled < scheduled.size() : now < end;
-    if (!issuing && next_edge == result.edges.size() &&
+    if (now >= end && next_edge == result.edges.size() &&
         (outstanding == 0 || now > end + config.drain_s)) {
       break;
     }
     double wake = end + config.drain_s;
     if (next_edge < result.edges.size()) {
       wake = std::min(wake, result.edges[next_edge]);
-    }
-    if (open && next_scheduled < scheduled.size()) {
-      wake = std::min(wake, scheduled[next_scheduled].due);
     }
     const double wait = std::max(0.0, wake - now);
     timespec timeout{};
@@ -321,11 +339,6 @@ Load_result run_load(int port, const Workload& workload, Op_stream* stream,
   while (result.usage.size() < result.edges.size()) {
     result.usage.push_back(sample());
     result.host.push_back(read_host_times());
-  }
-  if (open) {
-    for (const Record& record : result.records) {
-      if (record.sent >= 0) result.lags.push_back(record.sent - record.op.due);
-    }
   }
   for (Connection& connection : connections) ::close(connection.fd);
   ::close(epoll_fd);

@@ -1,12 +1,10 @@
 // perfbench/src/client.hpp
 //
 // The load generator: one thread, one epoll loop, at most four loopback
-// connections. A closed loop keeps a fixed window of requests
-// outstanding per connection; an open loop sends each op at its
-// scheduled time, whatever the server's state, and times the request
-// from that intended time. Every event line is matched to its request
-// and kept in a compact record for the correctness gate, which runs
-// after the timed window.
+// connections, in a closed loop: each connection keeps a fixed window of
+// requests outstanding, like query planners that each wait for their
+// plan. Every event line is matched to its request and kept in a compact
+// record for the correctness gate, which runs after the timed window.
 //
 // Echo_endpoint is the generator's self-check: a trivial line-echo
 // server that answers every request at once, so driving it with the
@@ -40,14 +38,9 @@ struct Record {
   bool cached = false;
   std::uint8_t plan_size = 0;
   std::array<std::uint8_t, 16> plan{};
-
-  /// When the request's latency clock starts: the intended send time in
-  /// an open loop, the actual send time in a closed one.
-  double start(Loop loop) const { return loop == Loop::open ? op.due : sent; }
 };
 
 struct Load_config {
-  Loop loop = Loop::closed;
   std::size_t connections = 4;
   std::size_t window = 1;
   double warmup_s = 1.0;
@@ -67,17 +60,11 @@ struct Load_result {
   std::vector<Host_times> host;
   /// Error events that carried no request id.
   std::size_t unmatched_errors = 0;
-  /// Open loop: how late each op went out (sent - intended), seconds.
-  std::vector<double> lags;
 };
 
-/// Drives `port`. Closed loop pulls ops from `stream` until the window
-/// closes; open loop sends the pre-generated `scheduled` ops (each op of
-/// a slot on connection slot % connections, so the server sees one
-/// instance's register and optimizes in order). `sample` is called at
-/// every slice edge.
+/// Drives `port`, pulling ops from `stream` until the window closes.
+/// `sample` is called at every slice edge.
 Load_result run_load(int port, const Workload& workload, Op_stream* stream,
-                     const std::vector<Op>& scheduled,
                      const Load_config& config,
                      const std::function<Proc_usage()>& sample);
 

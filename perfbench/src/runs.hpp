@@ -34,7 +34,7 @@ struct Run_options {
   /// Alter one answer before the gate runs (the gate's own test).
   bool corrupt = false;
   /// Fleet spawns measured for setup_s; the last one carries the load.
-  std::size_t setups = 7;
+  std::size_t setups = 15;
   /// Measure the load generator's ceiling against the echo endpoint.
   bool self_check = true;
   /// Where run_traced writes its spans.

@@ -65,13 +65,12 @@ double echo_ceiling(const Workload& workload, bool tiny) {
   Echo_endpoint endpoint;
   Load_config config;
   config.connections = workload.connections;
-  config.window = workload.loop == Loop::closed ? workload.window : 8;
+  config.window = workload.window;
   config.warmup_s = 0.1;
   config.measure_s = tiny ? 0.2 : 0.5;
   config.slices = 1;
-  const Load_result load =
-      run_load(endpoint.port(), echo, &stream, {}, config,
-               [] { return Proc_usage{}; });
+  const Load_result load = run_load(endpoint.port(), echo, &stream, config,
+                                    [] { return Proc_usage{}; });
   std::size_t answered = 0;
   for (const Record& record : load.records) {
     if (record.status == Status::ok && record.done >= load.edges.front() &&
@@ -89,7 +88,6 @@ Run_result run_serving(Workload& workload, const Binaries& binaries,
                        const Run_options& options) {
   Run_result run;
   Load_config config;
-  config.loop = workload.loop;
   config.connections = workload.connections;
   config.window = workload.window;
   config.warmup_s = std::min(1.0, 0.2 * options.seconds);
@@ -97,16 +95,7 @@ Run_result run_serving(Workload& workload, const Binaries& binaries,
   config.slices =
       std::max<long>(1, std::lround(options.seconds / workload.slice_s));
 
-  // Inputs first, all from the seed: the open loop's whole schedule
-  // (its re-registrations add document versions), then the set-up lines.
   Op_stream stream(workload);
-  std::vector<Op> scheduled;
-  if (workload.loop == Loop::open) {
-    for (Op op = stream.next(); op.due < config.warmup_s + config.measure_s;
-         op = stream.next()) {
-      scheduled.push_back(op);
-    }
-  }
   std::vector<std::string> register_lines;
   for (std::uint32_t slot = 0; slot < workload.slots.size(); ++slot) {
     register_lines.push_back(workload.register_line(slot, 0) + "\n");
@@ -127,9 +116,8 @@ Run_result run_serving(Workload& workload, const Binaries& binaries,
     setups.push_back(now_seconds() - started);
   }
 
-  Load_result load =
-      run_load(fleet->port(), workload, &stream, scheduled, config,
-               [&fleet] { return fleet->usage(); });
+  Load_result load = run_load(fleet->port(), workload, &stream, config,
+                              [&fleet] { return fleet->usage(); });
   double peak_rss = fleet->usage().peak_rss_mib;
   for (const Proc_usage& usage : load.usage) {
     peak_rss = std::max(peak_rss, usage.peak_rss_mib);
@@ -144,13 +132,15 @@ Run_result run_serving(Workload& workload, const Binaries& binaries,
 
   const Gate_report gate = verify(workload, load.records, options.corrupt);
 
-  // Every figure is taken per slice of the timed window. The host's
-  // steal time (CPU a hypervisor gave to other guests while this one
-  // wanted to run) is sampled at the same edges; the figures reported
-  // are medians over the quarter of the slices the host disturbed least.
-  // The program under test cannot cause steal, so this drops only
-  // intervals in which the measurement itself was starved: one 10 ms
-  // descheduling of a vCPU sets a slice's p99.
+  // Every figure is taken per slice of the timed window, and each one
+  // reported is the median over the slices with the highest throughput
+  // (a quarter of them). On a shared host other tenants slow this one
+  // in bursts, by descheduling its vCPUs (steal) or by sharing their
+  // cores and caches (which no counter shows), and a burst only ever
+  // lowers a closed loop's throughput; so a slice's own throughput says
+  // how disturbed it was. Latency and CPU figures come from the same
+  // slices, so they describe one state of the host. A program that gets
+  // slower is slower in every slice, the kept ones too.
   const std::size_t slices = load.edges.size() - 1;
   auto slice_of = [&](double t) -> std::size_t {
     if (t < load.edges.front() || t >= load.edges.back()) return slices;
@@ -169,10 +159,9 @@ Run_result run_serving(Workload& workload, const Binaries& binaries,
         if (record.op.kind == Op::Kind::optimize) {
           const std::size_t done = slice_of(record.done);
           if (done < slices) ++answered[done];
-          const double start = record.start(workload.loop);
-          const std::size_t started = slice_of(start);
+          const std::size_t started = slice_of(record.sent);
           if (started < slices) {
-            latencies[started].push_back((record.done - start) * 1e3);
+            latencies[started].push_back((record.done - record.sent) * 1e3);
           }
         }
         break;
@@ -212,7 +201,7 @@ Run_result run_serving(Workload& workload, const Binaries& binaries,
   std::vector<std::size_t> kept(slices);
   for (std::size_t k = 0; k < slices; ++k) kept[k] = k;
   std::stable_sort(kept.begin(), kept.end(), [&](std::size_t a, std::size_t b) {
-    return steal[a] < steal[b];
+    return throughputs[a] > throughputs[b];
   });
   kept.resize((slices + 3) / 4);
   auto kept_median = [&](const std::vector<double>& values) {
@@ -281,12 +270,6 @@ Run_result run_serving(Workload& workload, const Binaries& binaries,
   validity.set("generator_ceiling_rps", Json(ceiling));
   validity.set("ceiling_over_throughput",
                Json(throughput > 0 ? ceiling / throughput : 0.0));
-  if (workload.loop == Loop::open) {
-    validity.set("offered_rps", Json(workload.rate));
-    validity.set("send_lag_p50_ms", Json(quantile(load.lags, 0.5) * 1e3));
-    validity.set("send_lag_p99_ms", Json(quantile(load.lags, 0.99) * 1e3));
-    validity.set("send_lag_max_ms", Json(quantile(load.lags, 1.0) * 1e3));
-  }
   report.set("validity", std::move(validity));
   report.set("server_stats", std::move(stats));
   return run;

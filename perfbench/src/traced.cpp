@@ -337,8 +337,7 @@ quest::serve::Server_options server_options(const Workload& workload) {
 }
 
 std::size_t outstanding_limit(const Workload& workload) {
-  return workload.connections *
-         (workload.loop == Loop::closed ? workload.window : 8);
+  return workload.connections * workload.window;
 }
 
 /// Server::handle_line (the serialized admission step) and the time to
@@ -545,13 +544,15 @@ Run_result run_traced(Workload& workload, const Binaries& binaries,
       run_serving(baseline_workload, binaries, baseline_options);
 
   // 2. The request stream, generated once for every replay below. A
-  //    closed-loop stream (no re-registrations, so any order is valid)
-  //    is shuffled: a replay cut short by its time budget then samples
+  //    stream without re-registrations (so any order is valid) is
+  //    shuffled: a replay cut short by its time budget then samples
   //    the whole stream, e.g. all of search-btsp's pool, not a prefix.
   Op_stream stream(workload);
   std::vector<Op> ops;
   for (std::size_t i = 0; i < max_ops; ++i) ops.push_back(stream.next());
-  if (workload.loop == Loop::closed) {
+  if (std::none_of(ops.begin(), ops.end(), [](const Op& op) {
+        return op.kind == Op::Kind::reregister;
+      })) {
     quest::Rng rng(workload.seed ^ 0x7261636564ULL);
     for (std::size_t i = ops.size() - 1; i > 0; --i) {
       std::swap(ops[i], ops[rng.uniform_int(i + 1)]);

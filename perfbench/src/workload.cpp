@@ -12,13 +12,6 @@ namespace perfbench {
 
 namespace {
 
-/// Offered rate of cache-zipf-rw, in ops per second. Closed-loop, this
-/// mix reaches about 22k req/s on a calm 4-vCPU host and about 11k when
-/// the hypervisor steals an eighth of the CPU; 2500 keeps the queue
-/// stable on a host that is being stolen from, where a rate near half
-/// of the calm figure makes every latency explode. Written into
-/// BENCHMARK.json's workload description too.
-constexpr double k_zipf_rate = 2500.0;
 /// Share of cache-zipf-rw ops that re-register an instance.
 constexpr double k_reregister_share = 0.02;
 /// Distinct seeds per instance in cache-zipf-rw's key space.
@@ -80,17 +73,17 @@ Workload make_workload(const std::string& name, std::uint64_t seed,
   if (name == "admit-small" || name == "routed-r2") {
     workload.window = 8;
     workload.routed = name == "routed-r2";
-    workload.serve_workers = workload.routed ? 1 : 4;
+    workload.serve_workers = workload.routed ? 1 : 2;
   } else if (name == "search-btsp") {
     workload.window = 1;
-    workload.slice_s = 2.0;
+    workload.slice_s = 1.0;
     // Bottleneck-TSP search effort is heavy-tailed (a rare n=13
     // instance needs tens of millions of nodes); the node budget a
     // waiting planner would set keeps every request's work bounded.
     workload.node_limit = 20000;
   } else {
-    workload.loop = Loop::open;
-    workload.rate = tiny ? 500.0 : k_zipf_rate;
+    workload.window = 4;
+    workload.serve_workers = 2;
   }
   const std::size_t slots = slot_count(name, tiny);
   if (name == "search-btsp") {
@@ -189,8 +182,6 @@ Op Op_stream::next() {
     op.slot = static_cast<std::uint32_t>((index / 2) % slots);
     op.model = index % 2 == 0 ? 0 : static_cast<std::uint16_t>(1 + op.slot);
   } else if (workload_.name == "cache-zipf-rw") {
-    clock_ += -std::log(1.0 - rng_.uniform()) / workload_.rate;
-    op.due = clock_;
     const double draw = rng_.uniform();
     const std::size_t rank = static_cast<std::size_t>(
         std::lower_bound(zipf_cdf_.begin(), zipf_cdf_.end(), draw) -

@@ -20,8 +20,6 @@
 
 namespace perfbench {
 
-enum class Loop { closed, open };
-
 /// One registered instance name and every document it held over the run
 /// (version 0 is registered at set-up; re-registrations append).
 struct Slot {
@@ -40,22 +38,17 @@ struct Op {
   std::uint16_t model = 0;  ///< index into Workload::models
   bool cache = false;
   std::uint64_t seed = 0;
-  /// Open loop: intended send time, seconds from the start of the load.
-  double due = 0.0;
 };
 
 struct Workload {
   std::string name;
-  Loop loop = Loop::closed;
   std::size_t connections = 4;
-  /// Closed loop: requests kept outstanding per connection.
+  /// Requests kept outstanding per connection.
   std::size_t window = 1;
-  /// Open loop: ops per second.
-  double rate = 0.0;
   /// Length of one slice of the timed window (each figure is a median
   /// over slices): long enough that a slice holds some 1000 latency
   /// samples, so at least ten lie beyond its 99th percentile.
-  double slice_s = 0.5;
+  double slice_s = 0.25;
   /// Serve through quest_router --replicas 2 over three backends.
   bool routed = false;
   /// --workers of each quest_serve process.
@@ -94,7 +87,6 @@ class Op_stream {
   Workload& workload_;
   quest::Rng rng_;
   std::uint64_t index_ = 0;
-  double clock_ = 0.0;
   /// cache-zipf-rw: cumulative Zipf weights over (instance, seed) keys
   /// and the seeded rank -> key permutation.
   std::vector<double> zipf_cdf_;

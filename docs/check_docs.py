@@ -34,11 +34,11 @@ DOCUMENTED_HEADERS = [
     "src/opt/include/quest/opt/search_control.hpp",
     "src/opt/include/quest/opt/stop_token.hpp",
     "src/serve/include/quest/serve/instance_store.hpp",
+    "src/serve/include/quest/serve/line_framer.hpp",
     "src/serve/include/quest/serve/plan_cache.hpp",
     "src/serve/include/quest/serve/protocol.hpp",
     "src/serve/include/quest/serve/server.hpp",
     "src/store/include/quest/store/jsonl.hpp",
-    "src/store/include/quest/store/router.hpp",
     "src/store/include/quest/store/shard_map.hpp",
     "src/store/include/quest/store/snapshot.hpp",
     "src/store/include/quest/store/snapshot_writer.hpp",

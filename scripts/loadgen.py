@@ -28,8 +28,10 @@ Two exclusive modes replace the throughput run when selected:
   --router K     sharded smoke: K quest_serve backends behind
                  quest_router (--router-binary). Registers instances
                  with distinct fingerprints through the router, checks
-                 merged stats report the fleet shape, kill -9s one
-                 backend, and asserts its shard sheds with typed
+                 merged stats report the fleet shape (replicas: 1),
+                 observe/refit reach the owner, an unregistered name is
+                 a typed `unknown-instance` error, then kill -9s one
+                 backend and asserts its shard sheds with typed
                  `overloaded` errors while the survivors keep serving.
   --replicas R   (with --router K, R > 1) replication smoke: the router
                  runs with --replicas R and a registration journal.
@@ -504,6 +506,48 @@ def router_phase(args):
             fail(f"merged stats disagree with the fleet: {stats}")
         if stats.get("admitted", 0) < len(names):
             fail(f"merged admitted counter lost requests: {stats}")
+        if stats.get("replicas") != 1:
+            fail(f"merged stats should report replicas: 1: {stats}")
+
+        # observe and refit route to the owning shard like any other op.
+        tuples = [1000, 600, 360, 216, 130, 78, 47]
+        client.send(
+            {
+                "op": "observe",
+                "instance": names[0],
+                "plan": list(range(6)),
+                "tuples_in": tuples[:-1],
+                "tuples_out": tuples[1:],
+            }
+        )
+        event = client.wait_for(
+            lambda e: e.get("event") in ("observed", "error"), "observed"
+        )
+        if event["event"] != "observed":
+            fail(f"observe through the router failed: {event}")
+        client.send({"op": "refit", "instance": names[0]})
+        event = client.wait_for(
+            lambda e: e.get("event") in ("refit", "error"), "refit"
+        )
+        if event["event"] != "refit":
+            fail(f"refit through the router failed: {event}")
+
+        # A name never registered gets the backend's typed error code.
+        client.send(
+            {
+                "op": "optimize",
+                "id": "unregistered",
+                "instance": "never-registered",
+                "optimizer": "bnb",
+            }
+        )
+        event = client.wait_for(
+            lambda e: e.get("id") == "unregistered"
+            and e.get("event") in ("result", "error"),
+            "outcome of unregistered",
+        )
+        if event.get("code") != "unknown-instance":
+            fail(f"unregistered name should be unknown-instance: {event}")
 
     backends[0].kill()  # kill -9 one shard
 

@@ -1,13 +1,47 @@
 #include "quest/cluster/health.hpp"
 
+#include <netdb.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <utility>
 
-#include "quest/store/router.hpp"
-
 namespace quest::cluster {
+
+int dial_backend(const std::string& address) noexcept {
+  const auto colon = address.rfind(':');
+  if (colon == std::string::npos || colon == 0 ||
+      colon + 1 == address.size()) {
+    return -1;
+  }
+  const std::string host = address.substr(0, colon);
+  const std::string port = address.substr(colon + 1);
+
+  addrinfo hints{};
+  hints.ai_family = AF_UNSPEC;
+  hints.ai_socktype = SOCK_STREAM;
+  addrinfo* results = nullptr;
+  if (::getaddrinfo(host.c_str(), port.c_str(), &hints, &results) != 0) {
+    return -1;
+  }
+  int fd = -1;
+  for (addrinfo* entry = results; entry != nullptr; entry = entry->ai_next) {
+    fd = ::socket(entry->ai_family, entry->ai_socktype, entry->ai_protocol);
+    if (fd < 0) continue;
+    if (::connect(fd, entry->ai_addr, entry->ai_addrlen) == 0) {
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+      break;
+    }
+    ::close(fd);
+    fd = -1;
+  }
+  ::freeaddrinfo(results);
+  return fd;
+}
 
 Health_monitor::Health_monitor(Health_options options,
                                std::function<void(std::size_t)> shard_up,
@@ -115,7 +149,7 @@ void Health_monitor::probe_loop() {
     for (std::size_t shard : due) {
       // Dial outside the lock — a probe against a black-holed address can
       // block, and mark_dead/alive must not wait behind it.
-      const int fd = store::dial_backend(options_.backends[shard]);
+      const int fd = dial_backend(options_.backends[shard]);
       const bool reachable = fd >= 0;
       if (reachable) ::close(fd);
 

@@ -1,13 +1,11 @@
 // quest/cluster/health.hpp
 //
 // Active fleet health: a single probe thread that keeps a live/dead
-// verdict per backend shard, replacing the legacy router's lazy
-// "discover death on the next forward" reconnects. Live shards are
-// probed at a fixed cadence (a TCP dial that is immediately closed —
-// the cheapest question the transport layer can answer); dead shards
-// are re-probed with exponential backoff (interval * 2^failures, capped)
-// so a long-dead backend costs a bounded trickle of SYNs, not a busy
-// loop.
+// verdict per backend shard. Live shards are probed at a fixed cadence
+// (a TCP dial that is immediately closed — the cheapest question the
+// transport layer can answer); dead shards are re-probed with
+// exponential backoff (interval * 2^failures, capped) so a long-dead
+// backend costs a bounded trickle of SYNs, not a busy loop.
 //
 // The monitor is the *authority* on shard liveness but not the only
 // informant: the replica router calls mark_dead() the instant a forward
@@ -47,8 +45,7 @@ class Health_monitor {
   /// `shard_up` / `shard_down` fire on every transition (never while the
   /// monitor's lock is held, so they may call back into the monitor).
   /// Either may be empty. Shards start *live* — the fleet is assumed
-  /// healthy until a probe or a send failure proves otherwise, matching
-  /// the legacy router's optimism.
+  /// healthy until a probe or a send failure proves otherwise.
   Health_monitor(Health_options options,
                  std::function<void(std::size_t)> shard_up,
                  std::function<void(std::size_t)> shard_down);
@@ -95,5 +92,11 @@ class Health_monitor {
   bool stopping_ = false;
   std::thread prober_;
 };
+
+/// Blocking TCP connect to "host:port" with TCP_NODELAY set; -1 when the
+/// address is malformed or the backend unreachable. The one dial path
+/// shared by the health prober and the replica router's links, so both
+/// agree on what "can this shard be dialed" means.
+int dial_backend(const std::string& address) noexcept;
 
 }  // namespace quest::cluster

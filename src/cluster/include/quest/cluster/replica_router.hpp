@@ -1,12 +1,15 @@
 // quest/cluster/replica_router.hpp
 //
-// The self-healing front of a replicated quest_serve fleet. Like
-// store::Router it speaks the ordinary wire protocol to clients and
-// forwards raw lines to backends by consistent-hashed fingerprint — but
-// where the plain router binds each key to exactly one shard and sheds
-// when that shard dies, the replica router binds each key to the first R
-// distinct shards on the ring (Shard_map::replicas) and keeps serving
-// through the loss of any R-1 of them:
+// The front of a quest_serve fleet. The router speaks the ordinary wire
+// protocol to its clients over any serve::Transport and forwards raw
+// lines to backends by the consistent hash of the instance's content
+// fingerprint (quest/store/shard_map.hpp). Backends key their plan
+// caches and snapshots by the same fingerprint, so routing by it keeps
+// every repeat request on a backend holding that instance's warm (and
+// persisted) cache. Each key is bound to the first R distinct shards on
+// the ring (Shard_map::replicas); element 0 is always shard_of, so R=1
+// is plain single-owner sharding and R>1 keeps serving through the loss
+// of any R-1 owners:
 //
 //  * register / observe / refit — *fan out*: the first live owner is the
 //    client-visible forward (its events stream back verbatim); the other
@@ -21,7 +24,10 @@
 //    owner and counts a "replica_failovers". Request ids are never
 //    rewritten, so clients cannot tell a failover happened (beyond a
 //    possible duplicate "admitted" — delivery is at-least-once across a
-//    failover, never at-most-once).
+//    failover, never at-most-once). optimize_batch is split into single
+//    optimize forwards, since elements may hash to different shards.
+//    With no live owner left the op sheds with the typed "overloaded"
+//    error, the same one a busy backend uses.
 //  * repair — a backend answering a routed optimize with the typed
 //    "unknown-instance" error is missing state it owns; the router
 //    replays the journaled register on that same connection, swallows
@@ -29,10 +35,12 @@
 //    rejoining after death (Health_monitor dead->live) is healed the
 //    same way: every journaled registration it owns is replayed ahead
 //    of traffic.
-//  * stats — the plain router's merge, grown with "replicas",
-//    "shards_degraded", "replica_failovers", "repairs", "replica_lag".
-//    (Emitted only by this router — the R=1 path keeps the legacy stats
-//    event byte-stable.)
+//  * stats — fanned out to every reachable backend and merged into one
+//    event (merge_stats_events) carrying "shards" / "shards_live" plus
+//    "replicas", "shards_degraded", "replica_failovers", "repairs",
+//    "replica_lag".
+//  * shutdown — forwarded to every reachable backend; the router folds
+//    their shutdown events into one merged pair and stops its transport.
 //
 // Liveness comes from an active Health_monitor (probe thread with
 // exponential backoff), not lazy reconnects: routing never dials a shard
@@ -62,6 +70,7 @@
 #include "quest/cluster/health.hpp"
 #include "quest/cluster/registration_journal.hpp"
 #include "quest/io/json.hpp"
+#include "quest/serve/line_framer.hpp"
 #include "quest/serve/transport.hpp"
 #include "quest/store/shard_map.hpp"
 
@@ -72,9 +81,8 @@ struct Replica_options {
   /// Backend addresses, "host:port", one per shard; index = shard id.
   std::vector<std::string> backends;
   /// Replication factor R: every key lives on this many distinct shards.
-  /// Must satisfy 1 <= replicas <= backends.size(). (R=1 is legal but
-  /// the plain store::Router is the byte-stable way to run it.)
-  std::size_t replicas = 2;
+  /// Must satisfy 1 <= replicas <= backends.size(); 1 = one owner per key.
+  std::size_t replicas = 1;
   /// Consistent-hash ring points per shard (Shard_map).
   std::size_t ring_points = 64;
   /// Inbound line cap, mirroring the session layer's overflow handling.
@@ -86,7 +94,7 @@ struct Replica_options {
   std::chrono::milliseconds max_backoff{8000};
 };
 
-/// The replicated sharding proxy. Construct with a listening transport,
+/// The sharding proxy. Construct with a listening transport,
 /// then serve(); returns true when a client shutdown op ended the run.
 class Replica_router {
  public:
@@ -149,9 +157,12 @@ class Replica_router {
 
   /// One front-side client connection and everything routed for it.
   struct Client {
-    serve::Connection_id id = 0;
-    std::string inbuf;
-    bool discarding = false;
+    Client(serve::Connection_id id, std::size_t max_line_bytes)
+        : id(id), framer(max_line_bytes) {}
+
+    serve::Connection_id id;
+    /// Loop thread only.
+    serve::Line_framer framer;
     /// Indexed by shard; null until first use. Guarded by mutex_.
     std::vector<std::shared_ptr<Link>> links;
     /// Request id -> route. Guarded by mutex_.
@@ -247,8 +258,10 @@ class Replica_router {
 
   std::mutex mutex_;
   std::unordered_map<serve::Connection_id, std::shared_ptr<Client>> clients_;
-  /// Registered name -> fingerprint (same restart semantics as the
-  /// plain router: clients re-register, backends dedupe by fingerprint).
+  /// Registered name -> fingerprint. Names registered before a router
+  /// restart are unknown to the new router; clients re-register (or send
+  /// inline documents) — backends dedupe by fingerprint, so
+  /// re-registration is idempotent and cache-preserving.
   std::unordered_map<std::string, std::uint64_t> names_;
   /// Per-shard replication feeds (event-swallowing links).
   std::vector<std::shared_ptr<Link>> feeds_;
@@ -260,5 +273,12 @@ class Replica_router {
   std::atomic<std::uint64_t> repairs_{0};
   std::atomic<std::uint64_t> replica_lag_{0};
 };
+
+/// Builds the merged fleet stats event: numeric counters summed
+/// ("uptime_seconds" maxed), the nested "cache" object summed fieldwise,
+/// plus "shards" (fleet size) and "shards_live" (events merged). Exposed
+/// for tests.
+io::Json merge_stats_events(const std::vector<io::Json>& events,
+                            std::size_t shards);
 
 }  // namespace quest::cluster

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <iterator>
+#include <map>
 #include <utility>
 
 #include "quest/common/error.hpp"
@@ -13,7 +14,6 @@
 #include "quest/io/instance_io.hpp"
 #include "quest/serve/protocol.hpp"
 #include "quest/store/jsonl.hpp"
-#include "quest/store/router.hpp"
 
 namespace quest::cluster {
 
@@ -23,7 +23,90 @@ bool starts_with(std::string_view line, std::string_view prefix) {
   return line.substr(0, prefix.size()) == prefix;
 }
 
+/// Writes one newline-framed line to a backend socket; false on any
+/// write error (callers treat the link as dead). MSG_NOSIGNAL keeps a
+/// closed backend from raising SIGPIPE into the process.
+bool send_backend_line(int fd, std::string_view line) noexcept {
+  std::string framed(line);
+  framed.push_back('\n');
+  std::size_t offset = 0;
+  while (offset < framed.size()) {
+    const ssize_t n = ::send(fd, framed.data() + offset,
+                             framed.size() - offset, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    offset += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Best-effort id extraction from a backend "result" line, so the route
+/// entry can be retired. Result events always start
+/// {"event":"result","id":"..." (the builder's field order is fixed);
+/// anything else returns empty and the entry stays until cancel or
+/// client disconnect — bounded either way.
+std::string result_event_id(std::string_view line) {
+  constexpr std::string_view prefix = "{\"event\":\"result\",\"id\":\"";
+  if (!starts_with(line, prefix)) return {};
+  const auto rest = line.substr(prefix.size());
+  std::string id;
+  for (std::size_t i = 0; i < rest.size(); ++i) {
+    if (rest[i] == '\\') return {};  // escaped id: punt, keep the entry
+    if (rest[i] == '"') return id;
+    id.push_back(rest[i]);
+  }
+  return {};
+}
+
 }  // namespace
+
+io::Json merge_stats_events(const std::vector<io::Json>& events,
+                            std::size_t shards) {
+  std::vector<std::string> order;
+  std::map<std::string, double> sums;
+  std::vector<std::string> cache_order;
+  std::map<std::string, double> cache_sums;
+  bool saw_cache = false;
+
+  for (const io::Json& event : events) {
+    if (!event.is_object()) continue;
+    for (const auto& [key, value] : event.as_object()) {
+      if (key == "event") continue;
+      if (key == "cache" && value.is_object()) {
+        saw_cache = true;
+        for (const auto& [cache_key, cache_value] : value.as_object()) {
+          if (!cache_value.is_number()) continue;
+          if (cache_sums.find(cache_key) == cache_sums.end()) {
+            cache_order.push_back(cache_key);
+          }
+          cache_sums[cache_key] += cache_value.as_number();
+        }
+        continue;
+      }
+      if (!value.is_number()) continue;
+      if (sums.find(key) == sums.end()) order.push_back(key);
+      if (key == "uptime_seconds") {
+        sums[key] = std::max(sums[key], value.as_number());
+      } else {
+        sums[key] += value.as_number();
+      }
+    }
+  }
+
+  io::Json merged;
+  merged.set("event", "stats");
+  merged.set("shards", static_cast<double>(shards));
+  merged.set("shards_live", static_cast<double>(events.size()));
+  for (const std::string& key : order) merged.set(key, sums[key]);
+  if (saw_cache) {
+    io::Json cache;
+    for (const std::string& key : cache_order) cache.set(key, cache_sums[key]);
+    merged.set("cache", std::move(cache));
+  }
+  return merged;
+}
 
 Replica_router::Replica_router(Replica_options options,
                                serve::Transport& transport)
@@ -67,8 +150,7 @@ bool Replica_router::serve() {
 }
 
 void Replica_router::on_open(serve::Connection_id id) {
-  auto client = std::make_shared<Client>();
-  client->id = id;
+  auto client = std::make_shared<Client>(id, options_.max_line_bytes);
   client->links.resize(options_.backends.size());
   clients_.emplace(id, std::move(client));
 }
@@ -79,46 +161,13 @@ void Replica_router::on_data(serve::Connection_id id,
   const auto found = clients_.find(id);
   if (found == clients_.end()) return;
   const std::shared_ptr<Client> client = found->second;
-
-  if (client->discarding) {
-    const auto newline = chunk.find('\n');
-    if (newline == std::string_view::npos) return;
-    client->discarding = false;
-    chunk.remove_prefix(newline + 1);
-  }
-  client->inbuf.append(chunk);
-
-  std::size_t start = 0;
-  for (;;) {
-    const auto newline = client->inbuf.find('\n', start);
-    if (newline == std::string::npos) break;
-    const std::string_view line(client->inbuf.data() + start,
-                                newline - start);
-    start = newline + 1;
-    if (line.size() > options_.max_line_bytes) {
-      transport_.send(
-          id, serve::error_event("request line exceeds " +
-                                     std::to_string(options_.max_line_bytes) +
-                                     " bytes and was discarded",
-                                 {}, "line-overflow")
-                  .dump());
-      continue;
-    }
-    if (!handle_line(client, line)) return;
-  }
-  client->inbuf.erase(0, start);
-
-  if (client->inbuf.size() > options_.max_line_bytes) {
-    transport_.send(
-        id, serve::error_event("request line exceeds " +
-                                   std::to_string(options_.max_line_bytes) +
-                                   " bytes and was discarded",
-                               {}, "line-overflow")
-                .dump());
-    client->inbuf.clear();
-    client->inbuf.shrink_to_fit();
-    client->discarding = true;
-  }
+  client->framer.feed(
+      chunk,
+      [&](std::string_view line) { return handle_line(client, line); },
+      [&] {
+        transport_.send(
+            id, serve::line_overflow_event(options_.max_line_bytes).dump());
+      });
 }
 
 void Replica_router::on_close(serve::Connection_id id) {
@@ -414,7 +463,7 @@ void Replica_router::handle_stats(const std::shared_ptr<Client>& client,
   client->merge_events.clear();
   for (const auto& member : members) member->merge_member = true;
   for (const auto& member : members) {
-    if (!store::send_backend_line(member->fd, line)) {
+    if (!send_backend_line(member->fd, line)) {
       // The reader's EOF path retires this link's share of the merge.
       ::shutdown(member->fd, SHUT_RDWR);
     }
@@ -429,7 +478,7 @@ bool Replica_router::handle_shutdown(const std::shared_ptr<Client>& client,
     for (std::size_t shard = 0; shard < options_.backends.size(); ++shard) {
       const auto link = link_locked(client, shard);
       if (link == nullptr) continue;
-      if (!store::send_backend_line(link->fd, line)) {
+      if (!send_backend_line(link->fd, line)) {
         ::shutdown(link->fd, SHUT_RDWR);
       }
     }
@@ -480,7 +529,7 @@ std::shared_ptr<Replica_router::Link> Replica_router::link_locked(
   }
   if (slot != nullptr) park_locked(std::move(slot));
   if (!health_.alive(shard)) return nullptr;
-  const int fd = store::dial_backend(options_.backends[shard]);
+  const int fd = dial_backend(options_.backends[shard]);
   if (fd < 0) {
     health_.mark_dead(shard);
     return nullptr;
@@ -498,7 +547,7 @@ bool Replica_router::send_locked(const std::shared_ptr<Client>& client,
                                  std::size_t shard, std::string_view line) {
   const auto link = link_locked(client, shard);
   if (link == nullptr) return false;
-  if (!store::send_backend_line(link->fd, line)) {
+  if (!send_backend_line(link->fd, line)) {
     health_.mark_dead(shard);
     ::shutdown(link->fd, SHUT_RDWR);
     return false;
@@ -514,7 +563,7 @@ bool Replica_router::feed_send_locked(std::size_t shard,
   }
   if (slot == nullptr) {
     if (!health_.alive(shard)) return false;
-    const int fd = store::dial_backend(options_.backends[shard]);
+    const int fd = dial_backend(options_.backends[shard]);
     if (fd < 0) {
       health_.mark_dead(shard);
       return false;
@@ -525,7 +574,7 @@ bool Replica_router::feed_send_locked(std::size_t shard,
     link->reader = std::thread([this, link] { reader_loop(link); });
     slot = link;
   }
-  if (!store::send_backend_line(slot->fd, line)) {
+  if (!send_backend_line(slot->fd, line)) {
     health_.mark_dead(shard);
     ::shutdown(slot->fd, SHUT_RDWR);
     return false;
@@ -590,7 +639,7 @@ void Replica_router::reader_loop(std::shared_ptr<Link> link) {
 void Replica_router::handle_backend_line(const std::shared_ptr<Link>& link,
                                          std::string_view line) {
   if (intercept_event(link, line)) return;
-  const std::string finished = store::result_event_id(line);
+  const std::string finished = result_event_id(line);
   if (!finished.empty()) {
     std::lock_guard<std::mutex> lock(mutex_);
     link->client->routes.erase(finished);
@@ -654,7 +703,7 @@ bool Replica_router::intercept_event(const std::shared_ptr<Link>& link,
       if (repair != link->repairs.end()) {
         repairs_.fetch_add(1, std::memory_order_relaxed);
         for (const std::string& queued : repair->second) {
-          if (!store::send_backend_line(link->fd, queued)) {
+          if (!send_backend_line(link->fd, queued)) {
             // Link died mid-repair; link_down will fail the queued ops
             // over via their routes.
             health_.mark_dead(link->shard);
@@ -705,7 +754,7 @@ bool Replica_router::intercept_event(const std::shared_ptr<Link>& link,
         return false;  // nothing journaled: the client sees the error
       }
       link->repairs[route.fingerprint].push_back(route.line);
-      if (!store::send_backend_line(link->fd, register_line)) {
+      if (!send_backend_line(link->fd, register_line)) {
         health_.mark_dead(link->shard);
         ::shutdown(link->fd, SHUT_RDWR);
       }
@@ -777,7 +826,7 @@ void Replica_router::link_down(const std::shared_ptr<Link>& link) {
 
 void Replica_router::finish_merge_locked(Client& client) {
   io::Json merged =
-      store::merge_stats_events(client.merge_events, options_.backends.size());
+      merge_stats_events(client.merge_events, options_.backends.size());
   merged.set("replicas", static_cast<double>(options_.replicas));
   merged.set("shards_degraded",
              static_cast<double>(health_.degraded_count()));

@@ -204,6 +204,9 @@ io::Json overloaded_event(const std::string& id, std::size_t queue_depth,
 /// drift in how they spell it.
 io::Json unknown_instance_event(const std::string& name,
                                 const std::string& id = {});
+/// The typed "line-overflow" error for a request line longer than
+/// `max_line_bytes` — one builder for every front that frames lines.
+io::Json line_overflow_event(std::size_t max_line_bytes);
 
 /// The shared "result" event shape — one builder so the cached and
 /// fresh-run paths cannot drift apart. `stats` may be nullptr (cached

@@ -7,13 +7,9 @@
 //  * opens a Server session, so events for that client's requests flow
 //    back to exactly that connection and request ids are scoped per
 //    client (two connections may both be running "r1");
-//  * reassembles newline-delimited request lines from arbitrary chunk
-//    boundaries, enforcing a per-line size cap: an oversized line is
-//    answered with a typed "line-overflow" error and discarded up to
-//    its terminating newline, after which the session continues — a
-//    hostile or buggy client cannot balloon server memory, and an
-//    honest one gets a diagnosable error instead of a dropped
-//    connection;
+//  * reassembles newline-delimited request lines through a Line_framer
+//    (quest/serve/line_framer.hpp), answering an oversized line with a
+//    typed "line-overflow" error and continuing after it;
 //  * closes the Server session when the connection goes away, so a
 //    vanished client's queued and running jobs are cancelled and their
 //    workers freed (configurable: the stdio pipe instead keeps its
@@ -29,6 +25,7 @@
 #include <cstddef>
 #include <unordered_map>
 
+#include "quest/serve/line_framer.hpp"
 #include "quest/serve/server.hpp"
 #include "quest/serve/transport.hpp"
 
@@ -64,11 +61,7 @@ class Session_manager {
  private:
   struct Connection_state {
     Server::Session_ptr session;
-    /// Bytes received but not yet terminated by a newline.
-    std::string inbuf;
-    /// Overflow recovery: the current line already exceeded the cap and
-    /// was reported; drop bytes until its terminating newline.
-    bool discarding = false;
+    Line_framer framer;
   };
 
   void on_open(Connection_id connection);

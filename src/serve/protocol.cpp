@@ -336,6 +336,12 @@ io::Json unknown_instance_event(const std::string& name,
                      id, "unknown-instance");
 }
 
+io::Json line_overflow_event(std::size_t max_line_bytes) {
+  return error_event("request line exceeds " + std::to_string(max_line_bytes) +
+                         " bytes and was discarded",
+                     {}, "line-overflow");
+}
+
 io::Json result_event(const std::string& id, opt::Termination termination,
                       const model::Plan& plan, double cost, bool complete,
                       bool proven_optimal, bool cached, bool warm_started,

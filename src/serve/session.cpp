@@ -27,14 +27,14 @@ bool Session_manager::serve() {
 }
 
 void Session_manager::on_open(Connection_id connection) {
-  Connection_state state;
   // The sink runs on Server worker threads as well as this loop thread;
   // Transport::send is thread-safe by contract, and a false return
   // (connection already gone) correctly drops the event.
-  state.session = server_.open_session([this, connection](
-                                           const io::Json& event) {
-    transport_.send(connection, event.dump());
-  });
+  Connection_state state{
+      server_.open_session([this, connection](const io::Json& event) {
+        transport_.send(connection, event.dump());
+      }),
+      Line_framer(options_.max_line_bytes)};
   connections_.emplace(connection, std::move(state));
 }
 
@@ -43,57 +43,22 @@ void Session_manager::on_data(Connection_id connection,
   const auto found = connections_.find(connection);
   if (found == connections_.end()) return;
   Connection_state& state = found->second;
-
-  if (state.discarding) {
-    // Still inside an oversized line: drop up to its newline.
-    const auto newline = chunk.find('\n');
-    if (newline == std::string_view::npos) return;
-    state.discarding = false;
-    chunk.remove_prefix(newline + 1);
-  }
-  state.inbuf.append(chunk);
-
-  std::size_t start = 0;
-  for (;;) {
-    const auto newline = state.inbuf.find('\n', start);
-    if (newline == std::string::npos) break;
-    const std::string_view line(state.inbuf.data() + start, newline - start);
-    start = newline + 1;
-    if (line.size() > options_.max_line_bytes) {
-      transport_.send(connection,
-                      error_event("request line exceeds " +
-                                      std::to_string(options_.max_line_bytes) +
-                                      " bytes and was discarded",
-                                  {}, "line-overflow")
-                          .dump());
-      continue;
-    }
-    if (!server_.handle_line(state.session, line)) {
-      // Shutdown op: the server has joined its workers; stopping the
-      // transport flushes the final events and ends serve().
-      shutdown_requested_ = true;
-      transport_.stop();
-      // `state` may dangle once stop() tears connections down via
-      // on_close — drop the remaining buffered bytes and leave.
-      return;
-    }
-  }
-  state.inbuf.erase(0, start);
-
-  // A partial line past the cap can never become an acceptable one:
-  // report it now and discard until its newline arrives, so a hostile
-  // client's memory use is bounded at one cap's worth per connection.
-  if (state.inbuf.size() > options_.max_line_bytes) {
-    transport_.send(connection,
-                    error_event("request line exceeds " +
-                                    std::to_string(options_.max_line_bytes) +
-                                    " bytes and was discarded",
-                                {}, "line-overflow")
-                        .dump());
-    state.inbuf.clear();
-    state.inbuf.shrink_to_fit();
-    state.discarding = true;
-  }
+  state.framer.feed(
+      chunk,
+      [&](std::string_view line) {
+        if (server_.handle_line(state.session, line)) return true;
+        // Shutdown op: the server has joined its workers; stopping the
+        // transport flushes the final events and ends serve(). `state`
+        // may dangle once stop() tears connections down via on_close —
+        // the framer drops the remaining buffered bytes.
+        shutdown_requested_ = true;
+        transport_.stop();
+        return false;
+      },
+      [&] {
+        transport_.send(connection,
+                        line_overflow_event(options_.max_line_bytes).dump());
+      });
 }
 
 void Session_manager::on_close(Connection_id connection) {

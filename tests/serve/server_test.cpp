@@ -186,8 +186,10 @@ TEST(Server_test, SustainsEightConcurrentRequestsOnThePool) {
   server.handle(register_op("prod", test::selective_instance(12, 5)));
 
   for (int request_index = 0; request_index < 8; ++request_index) {
-    server.handle(
-        long_running_op("c" + std::to_string(request_index), "prod"));
+    Optimize_op op =
+        long_running_op("c" + std::to_string(request_index), "prod");
+    op.stream = true;
+    server.handle(std::move(op));
   }
   // All eight must be running at once — the high-water mark proves the
   // pool sustained them concurrently (scheduling, not wall-clock
@@ -197,6 +199,19 @@ TEST(Server_test, SustainsEightConcurrentRequestsOnThePool) {
     std::this_thread::yield();
   }
   EXPECT_EQ(server.stats().max_concurrent, 8u);
+
+  // Running is not yet holding a plan: a job cancelled inside its greedy
+  // seed legitimately reports complete == false. Wait until every job
+  // has streamed its first incumbent before cancelling.
+  for (int request_index = 0; request_index < 8; ++request_index) {
+    const std::string id = "c" + std::to_string(request_index);
+    log.wait_for([&](const io::Json& event) {
+      const io::Json* kind = event.find("event");
+      const io::Json* event_id = event.find("id");
+      return kind != nullptr && kind->as_string() == "incumbent" &&
+             event_id != nullptr && event_id->as_string() == id;
+    });
+  }
 
   for (int request_index = 0; request_index < 8; ++request_index) {
     server.handle(Cancel_op{"c" + std::to_string(request_index)});

@@ -12,21 +12,19 @@
 //   quest_router --tcp-port 7400 --backends 127.0.0.1:7401,127.0.0.1:7402
 //
 // Clients connect to the router exactly as they would to a single
-// quest_serve: register / optimize / optimize_batch / cancel flow to the
-// owning shard, stats fans out and comes back as one merged event (with
-// "shards" / "shards_live"), shutdown takes the whole fleet down.
+// quest_serve: register / observe / refit / optimize / optimize_batch /
+// cancel flow to the owning shard, stats fans out and comes back as one
+// merged event, shutdown takes the whole fleet down.
 //
-// With the default --replicas 1 each key lives on exactly one shard: a
-// dead backend sheds its ops with the protocol's typed "overloaded"
-// error and is reconnected lazily once it returns — byte-identical to
-// the router's pre-replication behavior. With --replicas R > 1 the
-// cluster layer takes over (quest/cluster/replica_router.hpp): every key
-// lives on R distinct shards, registers fan out, optimizes fail over to
-// the next live replica on backend death or shed, a health prober tracks
-// the fleet, and a registration journal (--journal) heals rejoining
-// backends by replay. The merged stats event then additionally carries
-// "replicas" / "shards_degraded" / "replica_failovers" / "repairs" /
-// "replica_lag".
+// --replicas R (default 1) binds every key to R distinct shards
+// (quest/cluster/replica_router.hpp): registers fan out, optimizes fail
+// over to the next live owner on backend death or shed, a health prober
+// tracks the fleet, and a registration journal (--journal; in memory
+// when unset) heals rejoining backends by replay. At R=1 each key has
+// one owner, and a dead backend sheds its ops with the protocol's typed
+// "overloaded" error until the prober sees it back. The merged stats
+// event carries "shards" / "shards_live" / "replicas" /
+// "shards_degraded" / "replica_failovers" / "repairs" / "replica_lag".
 //
 // The first stdout line is {"event":"listening","port":N} (N is the
 // bound port — useful with --tcp-port 0).
@@ -41,7 +39,6 @@
 #include "quest/common/cli.hpp"
 #include "quest/io/json.hpp"
 #include "quest/serve/tcp_transport.hpp"
-#include "quest/store/router.hpp"
 
 int main(int argc, char** argv) {
   using namespace quest;
@@ -60,20 +57,19 @@ int main(int argc, char** argv) {
     auto& replicas = cli.add_int(
         "replicas", 1,
         "replication factor: each key lives on this many distinct shards; "
-        "1 = plain sharding (one owner per key), >1 enables fan-out, "
-        "failover and journal-backed repair");
+        "1 = one owner per key, >1 adds write fan-out and read failover");
     auto& ring_points = cli.add_int(
         "ring-points", 64,
         "consistent-hash ring points per shard; more points = smoother "
         "load split, identical values on every router = identical routing");
     auto& journal_path = cli.add_string(
         "journal", "",
-        "registration journal file for replica repair (only with "
-        "--replicas > 1; empty = in-memory only)");
+        "registration journal file for replica repair (empty = in-memory "
+        "only)");
     auto& probe_interval_ms = cli.add_int(
         "probe-interval-ms", 500,
-        "backend health probe cadence in milliseconds (only with "
-        "--replicas > 1; dead shards back off exponentially from here)");
+        "backend health probe cadence in milliseconds (dead shards back "
+        "off exponentially from here)");
     auto& max_connections = cli.add_int(
         "max-connections", 1024,
         "client connection limit; excess connects are refused with a "
@@ -143,17 +139,6 @@ int main(int argc, char** argv) {
     listening.set("event", io::Json("listening"));
     listening.set("port", io::Json(transport.port()));
     std::cout << listening.dump() << std::endl;
-
-    if (replicas.value == 1) {
-      // Plain sharding: the pre-replication router, byte-for-byte.
-      store::Router_options options;
-      options.backends = std::move(backend_list);
-      options.ring_points = static_cast<std::size_t>(ring_points.value);
-      options.max_line_bytes = static_cast<std::size_t>(max_line_bytes.value);
-      store::Router router(std::move(options), transport);
-      router.serve();
-      return 0;
-    }
 
     cluster::Replica_options options;
     options.backends = std::move(backend_list);

@@ -1,10 +1,12 @@
-// Router unit surface: the stats-merge algebra (counters summed, uptime
-// maxed, the nested cache object summed fieldwise, fleet-health fields
-// added) and option validation. The full proxy path — forwarding,
-// shedding, reconnection — is exercised end to end by the serve/
-// router_smoke ctest entry (scripts/loadgen.py --router).
+// Router unit surface at the default replication factor (R=1, one owner
+// per key): the stats-merge algebra (counters summed, uptime maxed, the
+// nested cache object summed fieldwise, fleet-health fields added) and
+// option validation. The router itself is cluster::Replica_router; the
+// full proxy path — forwarding, shedding, reconnection — is exercised end
+// to end by the serve/router_smoke ctest entry (scripts/loadgen.py
+// --router).
 
-#include "quest/store/router.hpp"
+#include "quest/cluster/replica_router.hpp"
 
 #include <gtest/gtest.h>
 
@@ -38,7 +40,7 @@ TEST(Router_test, MergeSumsCountersAndMaxesUptime) {
       backend_stats(5, 4, 10.5, 2),
       backend_stats(7, 7, 3.25, 1),
   };
-  const io::Json merged = store::merge_stats_events(events, 3);
+  const io::Json merged = cluster::merge_stats_events(events, 3);
   EXPECT_EQ(merged.at("event").as_string(), "stats");
   EXPECT_EQ(merged.at("shards").as_number(), 3.0);
   EXPECT_EQ(merged.at("shards_live").as_number(), 2.0);
@@ -61,22 +63,22 @@ TEST(Router_test, MergeToleratesHeterogeneousEvents) {
   io::Json durable = backend_stats(2, 2, 1.0, 0);
   durable.set("snapshot_writes", io::Json(5.0));
   const io::Json merged =
-      store::merge_stats_events({bounded, durable}, 2);
+      cluster::merge_stats_events({bounded, durable}, 2);
   EXPECT_EQ(merged.at("shed").as_number(), 3.0);
   EXPECT_EQ(merged.at("snapshot_writes").as_number(), 5.0);
   EXPECT_EQ(merged.at("admitted").as_number(), 3.0);
 }
 
 TEST(Router_test, MergeOfNothingStillReportsFleetShape) {
-  const io::Json merged = store::merge_stats_events({}, 4);
+  const io::Json merged = cluster::merge_stats_events({}, 4);
   EXPECT_EQ(merged.at("shards").as_number(), 4.0);
   EXPECT_EQ(merged.at("shards_live").as_number(), 0.0);
 }
 
 TEST(Router_test, RejectsAnEmptyBackendList) {
   serve::Stdio_transport transport;
-  store::Router_options options;  // no backends
-  EXPECT_THROW(store::Router(std::move(options), transport), Error);
+  cluster::Replica_options options;  // no backends, default R=1
+  EXPECT_THROW(cluster::Replica_router(options, transport), Error);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot paths every experiment
 // leans on: full-plan cost evaluation, incremental append/pop, epsilon-bar
-// in both modes, the DP inner loop, RNG draws, and JSON round-trips.
+// in both modes, the DP inner loop, RNG draws, JSON round-trips, and the
+// serialization of a serving "result" event.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +10,7 @@
 #include "quest/io/instance_io.hpp"
 #include "quest/model/cost.hpp"
 #include "quest/opt/dp.hpp"
+#include "quest/serve/protocol.hpp"
 #include "quest/workload/generators.hpp"
 
 namespace {
@@ -173,6 +175,41 @@ void BM_json_round_trip(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_json_round_trip);
+
+// Number formatting alone: a result event's mix of integral counters
+// and full-precision doubles.
+void BM_json_number_dump(benchmark::State& state) {
+  Rng rng(7);
+  io::Json numbers;
+  for (int i = 0; i < 8; ++i) {
+    numbers.push_back(static_cast<double>(rng() % 100000));
+    numbers.push_back(rng.uniform() * 1e3);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(numbers.dump());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          16);
+}
+BENCHMARK(BM_json_number_dump);
+
+// The event quest_serve writes per answered request: an n=8 bnb plan
+// with its search stats, dumped to the wire line.
+void BM_result_event_dump(benchmark::State& state) {
+  const auto instance = bench_instance(8);
+  opt::Request request;
+  request.instance = &instance;
+  core::Bnb_optimizer bnb;
+  const opt::Result result = bnb.optimize(request);
+  const io::Json event = serve::result_event(
+      "r12345", result.termination, result.plan, result.cost,
+      result.plan.size() == 8, result.proven_optimal, false, false,
+      model::Cost_model{}.key(), 4.2e-5, &result.stats);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(event.dump());
+  }
+}
+BENCHMARK(BM_result_event_dump);
 
 }  // namespace
 

@@ -3,7 +3,9 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -13,6 +15,23 @@ namespace {
 
 [[noreturn]] void type_error(const char* expected) {
   throw Parse_error(std::string("JSON type mismatch: expected ") + expected);
+}
+
+/// Converts a scanned number token (`-?digits[.digits][(e|E)[+-]digits]`,
+/// digits possibly empty) exactly as strtod would, without copying it.
+/// from_chars reports underflow as out of range where strtod rounds
+/// toward zero and succeeds, so that one case defers to strtod; overflow
+/// and malformed tokens are refused either way.
+bool parse_number_token(std::string_view token, double& value) {
+  const char* const last = token.data() + token.size();
+  const auto [end, error] = std::from_chars(token.data(), last, value);
+  if (error == std::errc::result_out_of_range) {
+    const std::string copy(token);
+    char* copy_end = nullptr;
+    value = std::strtod(copy.c_str(), &copy_end);
+    return copy_end == copy.c_str() + copy.size() && std::isfinite(value);
+  }
+  return error == std::errc{} && end == last;
 }
 
 /// Recursive-descent parser over a string_view with position tracking.
@@ -227,11 +246,9 @@ class Parser {
     }
     const std::string_view token = text_.substr(start, pos_ - start);
     if (token.empty() || token == "-") fail("invalid number");
-    const std::string copy(token);
-    char* end = nullptr;
-    const double value = std::strtod(copy.c_str(), &end);
-    if (end != copy.c_str() + copy.size() || !std::isfinite(value)) {
-      fail("invalid number '" + copy + "'");
+    double value = 0.0;
+    if (!parse_number_token(token, value)) {
+      fail("invalid number '" + std::string(token) + "'");
     }
     return Json(value);
   }
@@ -268,16 +285,22 @@ void dump_string(const std::string& s, std::string& out) {
 void dump_number(double d, std::string& out) {
   QUEST_EXPECTS(std::isfinite(d), "JSON numbers must be finite");
   // Integers print without a fraction; everything else round-trips via
-  // max_digits10.
+  // max_digits10. Byte-identical to printf's "%.0f" / "%.17g", without
+  // its locale and format-string overhead.
+  char buffer[32];
+  std::to_chars_result written{};
   if (d == std::floor(d) && std::fabs(d) < 1e15) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%.0f", d);
-    out += buffer;
-    return;
+    if (d == 0.0 && std::signbit(d)) {
+      out += "-0";
+      return;
+    }
+    written = std::to_chars(buffer, buffer + sizeof buffer,
+                            static_cast<std::int64_t>(d));
+  } else {
+    written = std::to_chars(buffer, buffer + sizeof buffer, d,
+                            std::chars_format::general, 17);
   }
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", d);
-  out += buffer;
+  out.append(buffer, written.ptr);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // quest/serve/protocol.hpp); a fixed pool of worker threads drains the
 // admission queue, each job running one registry-built engine under its
 // own per-request Budget and Stop_token; results, streamed incumbents and
-// errors flow back through a single serialized event sink.
+// errors flow back through each session's serialized event sink.
 //
 // Request lifecycle:  admit -> optimize -> stream -> cache -> execute
 //
@@ -49,9 +49,10 @@
 //
 // Thread-safety: handle()/handle_line() are meant for one transport
 // thread (they are internally synchronized with the workers, not with
-// each other). Event sinks are called under an internal mutex — one
-// event at a time across all sessions, from transport and worker
-// threads alike — and must not call back into the Server.
+// each other). Each session's event sink is called under that session's
+// own mutex — one event at a time per session, from transport and worker
+// threads alike, while different sessions' sinks may run concurrently —
+// and must not call back into the Server.
 
 #pragma once
 
@@ -168,9 +169,10 @@ struct Server_stats {
 /// for the request lifecycle and threading contract.
 class Server {
  public:
-  /// Receives every outgoing event, one call at a time (internally
-  /// serialized), from transport and worker threads alike. Must not call
-  /// back into the Server.
+  /// Receives a session's outgoing events, one call at a time per
+  /// session, from transport and worker threads alike. Sinks of
+  /// different sessions may run concurrently, so state they share must
+  /// be thread-safe. Must not call back into the Server.
   using Event_sink = std::function<void(const io::Json&)>;
 
   /// One connected client. Treat as opaque: obtain from open_session(),
@@ -178,6 +180,8 @@ class Server {
   struct Client_session {
     std::uint64_t id = 0;
     Event_sink sink;
+    /// Serializes calls into `sink`, and close_session() against them.
+    std::mutex sink_mutex;
     /// Cleared by close_session(); a closed session's events are
     /// dropped instead of reaching a sink whose transport is gone.
     std::atomic<bool> open{true};
@@ -259,7 +263,7 @@ class Server {
   void retire_job_locked(const Job& job);
   /// Serialized event emission to one session's sink; dropped when the
   /// session was closed (its transport connection is gone).
-  void emit(const Client_session& session, const io::Json& event);
+  void emit(Client_session& session, const io::Json& event);
 
   Server_options options_;
   Session_ptr default_session_;
@@ -297,7 +301,6 @@ class Server {
   std::atomic<std::size_t> running_{0};
   std::atomic<std::size_t> max_concurrent_{0};
 
-  std::mutex sink_mutex_;
   std::vector<std::thread> workers_;
 };
 

@@ -6,9 +6,13 @@
 //
 //  * One loop thread owns all sockets and connection state; worker
 //    threads never touch a file descriptor. send() appends to the
-//    connection's outbound buffer under a mutex and wakes the loop
-//    through a self-pipe, so results stream out without a thread per
-//    connection.
+//    connection's outbound buffer under a mutex and marks it dirty; the
+//    loop flushes dirty connections after every batch of readiness
+//    events, so results stream out without a thread per connection.
+//    A send() on the loop thread itself needs no wakeup. Other threads
+//    wake the loop through a self-pipe, coalesced: a byte is written
+//    only when no wakeup is pending, and the loop clears the pending
+//    flag after draining the pipe, so one wakeup collects a burst.
 //  * Write-side backpressure: a connection whose outbound buffer
 //    exceeds `write_buffer_cap` stops being *read* until the buffer
 //    drains below half the cap. A slow or stalled reader therefore

@@ -140,9 +140,9 @@ Server::Session_ptr Server::open_session(Event_sink sink) {
 void Server::close_session(const Session_ptr& session) {
   if (session == nullptr) return;
   {
-    // Under sink_mutex_ so that once close_session returns, no event
-    // can still be entering this session's sink from a worker.
-    std::lock_guard<std::mutex> lock(sink_mutex_);
+    // Under the session's sink mutex so that once close_session returns,
+    // no event can still be entering this session's sink from a worker.
+    std::lock_guard<std::mutex> lock(session->sink_mutex);
     if (!session->open.exchange(false)) return;  // idempotent
   }
   std::lock_guard<std::mutex> lock(mutex_);
@@ -153,8 +153,8 @@ void Server::close_session(const Session_ptr& session) {
   }
 }
 
-void Server::emit(const Client_session& session, const io::Json& event) {
-  std::lock_guard<std::mutex> lock(sink_mutex_);
+void Server::emit(Client_session& session, const io::Json& event) {
+  std::lock_guard<std::mutex> lock(session.sink_mutex);
   if (session.open.load(std::memory_order_relaxed)) session.sink(event);
 }
 

@@ -201,6 +201,16 @@ struct Tcp_transport::Impl {
     [[maybe_unused]] const auto ignored = ::write(wake_write, &byte, 1);
   }
 
+  /// Makes the loop see a connection just marked dirty. On the loop
+  /// thread nothing is needed: process_dirty() runs after every batch.
+  /// Elsewhere one pipe byte per loop wakeup suffices; `wake_pending`
+  /// stays set until the loop has drained the pipe, so later senders
+  /// know their dirty entry will be collected by that same wakeup.
+  void notify_loop() {
+    if (loop_owner == this) return;
+    if (!wake_pending.exchange(true)) wake();
+  }
+
   // ---- sender-thread entry points -------------------------------------
 
   bool send(Connection_id id, std::string_view line) {
@@ -213,7 +223,7 @@ struct Tcp_transport::Impl {
       conn.outbound.push_back('\n');
       dirty.push_back(id);
     }
-    wake();
+    notify_loop();
     return true;
   }
 
@@ -225,7 +235,7 @@ struct Tcp_transport::Impl {
       entry->second->closing = true;
       dirty.push_back(id);
     }
-    wake();
+    notify_loop();
   }
 
   void request_stop() {
@@ -236,6 +246,10 @@ struct Tcp_transport::Impl {
   // ---- loop thread ----------------------------------------------------
 
   void run(const Handlers& handlers) {
+    loop_owner = this;
+    struct Owner_reset {
+      ~Owner_reset() { loop_owner = nullptr; }
+    } owner_reset;
     Poller poller;
     poller.add(listen_fd, /*read=*/true, /*write=*/false);
     poller.add(wake_read, /*read=*/true, /*write=*/false);
@@ -243,17 +257,24 @@ struct Tcp_transport::Impl {
     std::vector<Poller::Ready> ready;
     std::vector<char> scratch(options.read_chunk);
     bool stopping = false;
+    bool dirty_left = false;
     std::chrono::steady_clock::time_point flush_deadline{};
 
     for (;;) {
       ready.clear();
-      poller.wait(ready, stopping ? 50 : -1);
+      poller.wait(ready, dirty_left ? 0 : stopping ? 50 : -1);
 
       for (const Poller::Ready& event : ready) {
         if (event.fd == wake_read) {
           char buffer[256];
           while (::read(wake_read, buffer, sizeof(buffer)) > 0) {
           }
+          // Only after the drain: a sender that still sees the flag set
+          // skips its pipe write, and its dirty entry is collected by the
+          // process_dirty() below. Clearing first would let a byte
+          // written in between be drained while the flag stays set, so
+          // no later sender would ever wake the loop again.
+          wake_pending.store(false);
           continue;
         }
         if (event.fd == listen_fd) {
@@ -275,7 +296,7 @@ struct Tcp_transport::Impl {
         }
       }
 
-      process_dirty(poller, handlers);
+      dirty_left = process_dirty(poller, handlers);
 
       if (stop_requested.load(std::memory_order_acquire) && !stopping) {
         // Graceful wind-down: no more accepts or reads, but give the
@@ -461,7 +482,10 @@ struct Tcp_transport::Impl {
     }
   }
 
-  void process_dirty(Poller& poller, const Handlers& handlers) {
+  /// Flushes every connection marked dirty. Returns whether entries
+  /// were marked meanwhile: a loop-thread send() never wakes the loop, so
+  /// the next wait must not block on them.
+  bool process_dirty(Poller& poller, const Handlers& handlers) {
     std::vector<Connection_id> ids;
     {
       std::lock_guard<std::mutex> lock(mutex);
@@ -477,6 +501,8 @@ struct Tcp_transport::Impl {
       }
       flush_conn(poller, conn, handlers);
     }
+    std::lock_guard<std::mutex> lock(mutex);
+    return !dirty.empty();
   }
 
   /// Poller stand-in for teardown, where the real poller is gone and
@@ -521,6 +547,11 @@ struct Tcp_transport::Impl {
   bool winding_down = false;
 
   std::atomic<bool> stop_requested{false};
+  /// Set by the sender whose pipe byte is not yet drained by the loop.
+  std::atomic<bool> wake_pending{false};
+
+  /// The transport whose loop runs on this thread, if any.
+  static inline thread_local const Impl* loop_owner = nullptr;
 };
 
 Tcp_transport::Tcp_transport(Tcp_options options)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
@@ -176,6 +177,52 @@ TEST(Server_test, ConcurrentRequestsGetCorrectPerRequestResults) {
                                   reference.cost))
         << ids[request_index];
   }
+}
+
+TEST(Server_test, NoSinkCallLandsAfterCloseSessionReturns) {
+  Server_options options;
+  options.workers = 2;
+  options.enable_cache = false;  // every request runs on a worker
+  Server server(options);
+
+  // Session a's sink is slow on results, so a worker is usually inside
+  // it when close_session(a) runs; close_session must wait that call
+  // out, and no later event may enter the sink. `late` counts calls that
+  // were still running, or started, after close_session returned.
+  std::atomic<bool> closed{false};
+  std::atomic<int> late{0};
+  std::atomic<int> a_results{0};
+  const auto a = server.open_session([&](const io::Json& event) {
+    if (closed.load()) ++late;
+    if (event.at("event").as_string() == "result") {
+      ++a_results;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    if (closed.load()) ++late;
+  });
+  Event_log b_log;
+  const auto b = server.open_session(std::ref(b_log));
+
+  server.handle(b, register_op("prod", test::selective_instance(7, 11)));
+  constexpr int k_requests = 60;
+  for (int i = 0; i < k_requests; ++i) {
+    server.handle(a, optimize_op("a" + std::to_string(i), "prod", "bnb"));
+    server.handle(b, optimize_op("b" + std::to_string(i), "prod", "bnb"));
+  }
+  // Close a while the workers are still emitting to both sessions.
+  Timer timer;
+  while (a_results.load() < 4 && timer.seconds() < 20.0) {
+    std::this_thread::yield();
+  }
+  server.close_session(a);
+  closed.store(true);
+
+  // Session b is unaffected: every one of its results arrives.
+  for (int i = 0; i < k_requests; ++i) {
+    EXPECT_TRUE(b_log.wait_result("b" + std::to_string(i)).is_object()) << i;
+  }
+  server.shutdown();
+  EXPECT_EQ(late.load(), 0);
 }
 
 TEST(Server_test, SustainsEightConcurrentRequestsOnThePool) {

@@ -4,7 +4,8 @@
 // with colliding request ids, write-side backpressure (reads pause when
 // a client stops draining), load shedding at the admission queue and at
 // the connection limit (both as typed "overloaded" errors), oversized
-// and malformed lines, optimize_batch, and a clean network shutdown.
+// and malformed lines, optimize_batch, a clean network shutdown, and
+// sends from many threads at once (no wakeup of the loop may be lost).
 
 #include "quest/serve/tcp_transport.hpp"
 
@@ -17,9 +18,13 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -459,6 +464,100 @@ TEST(Tcp_transport_test, ShutdownOpDrainsFinalEventsToTheClient) {
   ASSERT_TRUE(client.wait_event("shutdown-complete").is_object());
   EXPECT_TRUE(client.at_eof());
   EXPECT_TRUE(stack.wait_shutdown_served());
+}
+
+TEST(Tcp_transport_test, ConcurrentSendersNeverLoseALoopWakeup) {
+  // The bare transport, no server: K threads send M lines each across C
+  // connections while the loop runs. Senders skip the pipe write while a
+  // wakeup is pending, so a wrongly cleared pending flag strands lines in
+  // the outbound buffers with the loop asleep; every line must arrive,
+  // in per-sender order, within the time bound.
+  constexpr std::size_t k_senders = 4;
+  constexpr std::size_t k_lines = 16000;
+  constexpr std::size_t k_connections = 4;
+
+  Tcp_transport transport(Tcp_options{});
+  std::mutex opened_mutex;
+  std::vector<Connection_id> opened;
+  Transport::Handlers handlers;
+  handlers.on_open = [&](Connection_id id) {
+    std::lock_guard<std::mutex> lock(opened_mutex);
+    opened.push_back(id);
+  };
+  std::thread loop([&] { transport.run(handlers); });
+
+  std::vector<std::unique_ptr<Client>> clients;
+  for (std::size_t c = 0; c < k_connections; ++c) {
+    clients.push_back(std::make_unique<Client>(transport.port()));
+  }
+  Timer timer;
+  std::vector<Connection_id> ids;
+  while (ids.size() < k_connections && timer.seconds() < 20.0) {
+    std::this_thread::yield();
+    std::lock_guard<std::mutex> lock(opened_mutex);
+    ids = opened;
+  }
+  if (ids.size() != k_connections) {
+    transport.stop();
+    loop.join();
+    FAIL() << "only " << ids.size() << " connections opened";
+  }
+
+  // Sender k sends "k m" to connection (k + m) % C.
+  std::vector<std::thread> senders;
+  for (std::size_t k = 0; k < k_senders; ++k) {
+    senders.emplace_back([&, k] {
+      for (std::size_t m = 0; m < k_lines; ++m) {
+        transport.send(ids[(k + m) % k_connections],
+                       std::to_string(k) + " " + std::to_string(m));
+        // Paced, so the loop sleeps and wakes thousands of times.
+        if (m % 2 == 1) {
+          std::this_thread::sleep_for(std::chrono::microseconds(10));
+        }
+      }
+    });
+  }
+
+  // Connection order is unknown to the clients, so each client matches
+  // the expected stream of whichever connection id it turns out to be:
+  // per sender, the line numbers it gets must be exactly the ones sent to
+  // its connection, ascending.
+  std::vector<std::map<std::size_t, std::vector<std::size_t>>> received(
+      k_connections);
+  const std::size_t per_connection = k_senders * k_lines / k_connections;
+  for (std::size_t c = 0; c < k_connections; ++c) {
+    for (std::size_t i = 0; i < per_connection; ++i) {
+      const std::string line = clients[c]->read_line(30.0 - timer.seconds());
+      if (line.empty()) break;
+      std::istringstream fields(line);
+      std::size_t k = 0;
+      std::size_t m = 0;
+      fields >> k >> m;
+      received[c][k].push_back(m);
+    }
+  }
+  for (auto& sender : senders) sender.join();
+  transport.stop();
+  loop.join();
+
+  std::set<std::size_t> matched;
+  for (std::size_t c = 0; c < k_connections; ++c) {
+    bool found = false;
+    for (std::size_t target = 0; target < k_connections && !found;
+         ++target) {
+      std::map<std::size_t, std::vector<std::size_t>> expected;
+      for (std::size_t k = 0; k < k_senders; ++k) {
+        for (std::size_t m = 0; m < k_lines; ++m) {
+          if ((k + m) % k_connections == target) expected[k].push_back(m);
+        }
+      }
+      found = received[c] == expected && matched.insert(target).second;
+    }
+    std::size_t total = 0;
+    for (const auto& [k, lines] : received[c]) total += lines.size();
+    EXPECT_TRUE(found) << "client " << c << " got " << total << " of "
+                       << per_connection << " lines, or out of order";
+  }
 }
 
 }  // namespace

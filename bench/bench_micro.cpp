@@ -59,8 +59,8 @@ void BM_epsilon_bar(benchmark::State& state) {
   model::Partial_plan_evaluator eval(instance);
   eval.append(0);
   eval.append(1);
-  std::vector<model::Service_id> remaining;
-  for (model::Service_id id = 2; id < n; ++id) remaining.push_back(id);
+  Member_mask remaining(n);
+  for (model::Service_id id = 2; id < n; ++id) remaining.set(id);
   for (auto _ : state) {
     benchmark::DoNotOptimize(ebar.evaluate(eval, remaining));
   }
@@ -155,6 +155,38 @@ void BM_bnb_correlated(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_bnb_correlated)->Arg(10)->Arg(12);
+
+// The serving benchmark's search workload without the server around it:
+// eight n=12 bottleneck-TSP instances per iteration under a 20k-node
+// budget, under the independent model (arg 0) or correlated:strength=0.5
+// with a per-instance interaction matrix (arg 1). Traced serving runs
+// attribute engine time under contention from the serving threads; this
+// figure is the kernel alone.
+void BM_bnb_btsp(benchmark::State& state) {
+  const bool correlated = state.range(0) != 0;
+  std::vector<model::Instance> instances;
+  std::vector<model::Cost_model> models;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    workload::Bottleneck_tsp_spec spec;
+    spec.n = 12;
+    instances.push_back(workload::make_bottleneck_tsp(spec, rng));
+    models.push_back(correlated
+                         ? model::Cost_model::correlated_seeded(12, 0.5, seed)
+                         : model::Cost_model{});
+  }
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < instances.size(); ++i) {
+      opt::Request request;
+      request.instance = &instances[i];
+      request.model = models[i];
+      request.budget.node_limit = 20000;
+      core::Bnb_optimizer bnb;
+      benchmark::DoNotOptimize(bnb.optimize(request).cost);
+    }
+  }
+}
+BENCHMARK(BM_bnb_btsp)->ArgName("correlated")->Arg(0)->Arg(1);
 
 void BM_rng_uniform(benchmark::State& state) {
   Rng rng(1);

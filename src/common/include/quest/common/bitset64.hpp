@@ -107,7 +107,78 @@ class Member_mask {
   /// helpers consume when n <= 64.
   std::uint64_t word() const noexcept { return word_; }
 
+  /// True iff no bit is set.
+  bool none() const noexcept {
+    if (word_ != 0) return false;
+    for (const auto word : overflow_) {
+      if (word != 0) return false;
+    }
+    return true;
+  }
+
+  /// The ids 0..n-1 this mask does not hold. Precondition: the mask was
+  /// sized for n (Member_mask(n) or resize(n)).
+  Member_mask complement(std::size_t n) const {
+    Member_mask out;
+    out.word_ = ~word_ & full_mask64(n);
+    out.overflow_.resize(overflow_.size());
+    for (std::size_t w = 0; w < overflow_.size(); ++w) {
+      out.overflow_[w] = ~overflow_[w] & full_mask64(n - 64 * (w + 1));
+    }
+    return out;
+  }
+
+  /// Forward iterator over the set bits in ascending order:
+  /// `for (std::size_t id : mask)`. Each step costs one count-trailing-
+  /// zeros; empty words are skipped whole.
+  class iterator {
+   public:
+    std::size_t operator*() const noexcept {
+      return 64 * index_ + lowest_bit(bits_);
+    }
+
+    iterator& operator++() noexcept {
+      bits_ = drop_lowest(bits_);
+      skip_empty();
+      return *this;
+    }
+
+    friend bool operator==(const iterator& a, const iterator& b) noexcept {
+      return a.index_ == b.index_ && a.bits_ == b.bits_;
+    }
+
+   private:
+    friend class Member_mask;
+
+    iterator(const Member_mask* mask, std::size_t index) noexcept
+        : mask_(mask), index_(index), bits_(mask->word_at(index)) {
+      skip_empty();
+    }
+
+    void skip_empty() noexcept {
+      while (bits_ == 0 && index_ < mask_->overflow_.size() + 1) {
+        ++index_;
+        bits_ = mask_->word_at(index_);
+      }
+    }
+
+    const Member_mask* mask_ = nullptr;
+    std::size_t index_ = 0;
+    std::uint64_t bits_ = 0;
+  };
+
+  iterator begin() const noexcept { return iterator(this, 0); }
+  iterator end() const noexcept {
+    return iterator(this, overflow_.size() + 1);
+  }
+
  private:
+  /// Word `index` of the mask (0 is the inline word); 0 past the end.
+  std::uint64_t word_at(std::size_t index) const noexcept {
+    if (index == 0) return word_;
+    return index <= overflow_.size() ? overflow_[index - 1] : 0;
+  }
+
   std::uint64_t word_ = 0;
   std::vector<std::uint64_t> overflow_;
 };

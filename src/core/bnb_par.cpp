@@ -141,19 +141,12 @@ class Canonical_rebuild {
 
     if (eval_.size() >= 2) {
       if (eval_.epsilon() > target_) return false;
-      auto& remaining = scratch_remaining_;
-      if (bounds_.closure_enabled() || bounds_.lower_bound_enabled()) {
-        remaining.clear();
-        for (Service_id u = 0; u < instance_.size(); ++u) {
-          if (!placed_.test(u)) remaining.push_back(u);
-        }
-      }
+      const Member_mask& remaining = placed_.remaining();
       if (bounds_.lower_bound_enabled() &&
           bounds_.lower_bound(eval_, remaining) > target_) {
         return false;
       }
-      if (bounds_.closure_enabled() &&
-          eval_.epsilon() >= bounds_.epsilon_bar(eval_, remaining)) {
+      if (bounds_.closure_enabled() && bounds_.closes(eval_, remaining)) {
         // Lemma 2: every completion costs exactly epsilon <= target, so
         // each smallest-feasible-id step below succeeds — exactly the
         // continuation the id-ordered DFS itself would take.
@@ -206,7 +199,6 @@ class Canonical_rebuild {
 
   model::Partial_plan_evaluator eval_;
   Placed_set placed_;
-  std::vector<Service_id> scratch_remaining_;
   bool aborted_ = false;
 };
 

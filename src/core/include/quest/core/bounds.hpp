@@ -5,7 +5,9 @@
 // Epsilon_bar and the quest admissible Lower_bound — resolved once per
 // optimize() call behind one provider.
 //
-// Construction runs the soundness gate that used to live inside the
+// Construction builds the instance's Successor_table — the
+// cheapest-first child order the drivers expand and the bounds scan —
+// and runs the soundness gate that used to live inside the
 // monolithic search: the cost model's attainable-selectivity bounds are
 // computed once; closure stays off unless the *upper* bounds are sound
 // (hi_sound), the lower bound only needs the always-finite lower bounds.
@@ -13,13 +15,13 @@
 //
 // A Bound_provider is immutable after construction and its evaluations
 // are stateless, so a single instance is shared read-only by every worker
-// of the parallel driver (bnb-par) — the bounds are computed once, not
-// once per thread.
+// of the parallel driver (bnb-par) — the table and the bounds are
+// computed once, not once per thread.
 
 #pragma once
 
+#include <memory>
 #include <optional>
-#include <span>
 
 #include "quest/core/measures.hpp"
 
@@ -40,26 +42,31 @@ class Bound_provider {
   Bound_provider(const model::Instance& instance,
                  const model::Cost_model& model, const Bound_config& config);
 
+  /// The instance's cheapest-first successor order, which the drivers
+  /// expand children from and both bounds scan.
+  const Successor_table& successors() const noexcept { return *successors_; }
+
   /// True when Lemma-2 closure survived the soundness gate.
   bool closure_enabled() const noexcept { return ebar_.has_value(); }
   /// True when the admissible lower bound is armed.
   bool lower_bound_enabled() const noexcept { return lower_.has_value(); }
 
-  /// Epsilon-bar for the partial plan held by `eval` (see Epsilon_bar).
-  /// Precondition: closure_enabled().
-  double epsilon_bar(const model::Partial_plan_evaluator& eval,
-                     std::span<const model::Service_id> remaining) const {
-    return ebar_->evaluate(eval, remaining);
+  /// Lemma 2's test for the partial plan held by `eval` (see
+  /// Epsilon_bar::closes). Precondition: closure_enabled().
+  bool closes(const model::Partial_plan_evaluator& eval,
+              const Member_mask& remaining) const {
+    return ebar_->closes(eval, remaining);
   }
 
   /// Admissible lower bound on the undetermined terms (see Lower_bound).
   /// Precondition: lower_bound_enabled().
   double lower_bound(const model::Partial_plan_evaluator& eval,
-                     std::span<const model::Service_id> remaining) const {
+                     const Member_mask& remaining) const {
     return lower_->evaluate(eval, remaining);
   }
 
  private:
+  std::shared_ptr<const Successor_table> successors_;
   std::optional<Epsilon_bar> ebar_;
   std::optional<Lower_bound> lower_;
 };

@@ -26,12 +26,24 @@
 // sound selectivity bounds (Cost_model::selectivity_bounds); when it
 // cannot, callers must search without them (branch-and-bound falls back
 // to Lemma-2-disabled search automatically).
+//
+// Cost per evaluation: each max over R is read off the Successor_table —
+// the first remaining entry of a row read from its costly end — so the
+// exact mode costs |R| short row scans rather than |R|^2 transfer reads.
+// (The amplification product, needed only when some hi exceeds 1, is
+// still multiplied out per u in ascending id order, O(|R|^2), with no
+// division to perturb its rounding.) The search itself asks only the
+// yes/no question, through Epsilon_bar::closes: it checks the dangling
+// term first and stops at the first term bound above epsilon — the
+// bound is a max, so one such term decides the answer.
 
 #pragma once
 
-#include <span>
+#include <memory>
 #include <vector>
 
+#include "quest/common/bitset64.hpp"
+#include "quest/core/search_kernel.hpp"
 #include "quest/model/cost.hpp"
 #include "quest/model/cost_model.hpp"
 #include "quest/model/instance.hpp"
@@ -42,38 +54,56 @@ namespace quest::core {
 /// never under-estimate); tighter bounds trigger Lemma-2 closures earlier
 /// at a higher per-node price. Ablated in experiment E2/E4.
 enum class Epsilon_bar_mode {
-  /// T_u over the live remaining set: O(|R|^2) per evaluation.
+  /// T_u over the live remaining set: one successor-row scan per term.
   exact,
-  /// T_u precomputed over all services: O(|R|) per evaluation, looser.
+  /// T_u precomputed over all services: O(1) per term, looser.
   loose,
 };
 
 /// Stateless-per-call evaluator for epsilon-bar. Construct once per
-/// instance; evaluate() per search node. Precondition: the model provides
-/// sound selectivity bounds for the instance.
+/// instance; closes() (or evaluate()) per search node. Precondition: the
+/// model provides sound selectivity bounds for the instance.
 class Epsilon_bar {
  public:
+  /// Builds its own successor table and selectivity bounds.
   Epsilon_bar(const model::Instance& instance, const model::Cost_model& model,
               Epsilon_bar_mode mode);
 
-  /// As above with the model's bounds already computed — the
-  /// branch-and-bound computes them once per optimize() call and shares
-  /// them between the gate, this measure and Lower_bound. Precondition:
-  /// `bounds.hi_sound`.
+  /// As above with the model's bounds and the instance's successor table
+  /// already computed — the branch-and-bound computes both once per
+  /// optimize() call and shares them between the drivers, this measure
+  /// and Lower_bound. Precondition: `bounds.hi_sound`.
   Epsilon_bar(const model::Instance& instance,
               const model::Cost_model& model,
-              model::Selectivity_bounds bounds, Epsilon_bar_mode mode);
+              model::Selectivity_bounds bounds,
+              std::shared_ptr<const Successor_table> successors,
+              Epsilon_bar_mode mode);
 
   /// Upper bound over every not-yet-determined stage term for the partial
-  /// plan held by `eval`. `remaining` must list exactly the services not in
-  /// the plan and be non-empty; `eval` must use the same cost model.
+  /// plan held by `eval`. `remaining` must hold exactly the services not
+  /// in the plan and be non-empty; `eval` must use the same cost model.
   double evaluate(const model::Partial_plan_evaluator& eval,
-                  std::span<const model::Service_id> remaining) const;
+                  const Member_mask& remaining) const;
+
+  /// Lemma 2's test: exactly `eval.epsilon() >= evaluate(eval, remaining)`,
+  /// decided at the first term bound that exceeds epsilon. Same
+  /// preconditions as evaluate().
+  bool closes(const model::Partial_plan_evaluator& eval,
+              const Member_mask& remaining) const {
+    return eval.epsilon() >= scan(eval, remaining, eval.epsilon());
+  }
 
   Epsilon_bar_mode mode() const noexcept { return mode_; }
 
  private:
+  /// The shared loop of evaluate() and closes(): the running max over the
+  /// dangling term, then each remaining service's term in ascending id,
+  /// returned early once it exceeds `stop_above`.
+  double scan(const model::Partial_plan_evaluator& eval,
+              const Member_mask& remaining, double stop_above) const;
+
   const model::Instance* instance_;
+  std::shared_ptr<const Successor_table> successors_;
   model::Send_policy policy_;
   Epsilon_bar_mode mode_;
   /// Upper bounds on the attainable conditional selectivities.
@@ -104,21 +134,24 @@ class Epsilon_bar {
 /// product (and therefore every future term) must grow. Ablated in E11.
 class Lower_bound {
  public:
+  /// Builds its own successor table and selectivity bounds.
   Lower_bound(const model::Instance& instance,
               const model::Cost_model& model);
 
-  /// Precomputed-bounds flavor; see the Epsilon_bar counterpart.
+  /// Precomputed flavor; see the Epsilon_bar counterpart.
   Lower_bound(const model::Instance& instance,
               const model::Cost_model& model,
-              const model::Selectivity_bounds& bounds);
+              const model::Selectivity_bounds& bounds,
+              std::shared_ptr<const Successor_table> successors);
 
   /// Greatest provable lower bound over the not-yet-determined stage terms
   /// of any completion. Preconditions as Epsilon_bar::evaluate.
   double evaluate(const model::Partial_plan_evaluator& eval,
-                  std::span<const model::Service_id> remaining) const;
+                  const Member_mask& remaining) const;
 
  private:
   const model::Instance* instance_;
+  std::shared_ptr<const Successor_table> successors_;
   model::Send_policy policy_;
   /// Lower bounds on the attainable conditional selectivities.
   std::vector<double> sigma_lo_;

@@ -17,16 +17,15 @@
 //     opt::Worker_control adds the thread-safe budget/cancellation
 //     plumbing for parallel workers.
 //
-// Each driver owns private node state (evaluator, placed set, candidate
-// arena) and shares only the read-only Bound_provider — which is exactly
-// what makes K drivers over one instance race-free.
+// Each driver owns private node state (evaluator, remaining-set mask) and
+// shares only the read-only Bound_provider, successor table included —
+// which is exactly what makes K drivers over one instance race-free.
 
 #pragma once
 
 #include <algorithm>
 #include <limits>
 #include <span>
-#include <tuple>
 #include <vector>
 
 #include "quest/common/error.hpp"
@@ -97,8 +96,7 @@ class Search_driver {
         stats_(stats),
         store_(store),
         eval_(instance, model),
-        placed_(instance.size()),
-        arena_(instance.size()) {}
+        placed_(instance.size()) {}
 
   /// Expands the subtree rooted at the seed prefix (pair.a, pair.b).
   /// Returns the resume size from expand(): 0 means a root back-jump
@@ -120,18 +118,17 @@ class Search_driver {
   /// build_pair_seeds list for this instance.
   void greedy_warm_start(std::span<const Pair_seed> pairs) {
     if (pairs.empty()) return;
-    const std::size_t n = instance_.size();
     append(pairs.front().a);
     append(pairs.front().b);
     while (!eval_.full()) {
+      // The cheapest feasible successor, smallest id among ties: the
+      // first feasible entry of the last service's row.
       model::Service_id next = model::invalid_service;
-      double next_t = std::numeric_limits<double>::infinity();
-      for (model::Service_id u = 0; u < n; ++u) {
-        if (!feasible(u)) continue;
-        const double t = instance_.transfer(eval_.last(), u);
-        if (t < next_t) {
-          next_t = t;
-          next = u;
+      for (const model::Service_id v :
+           bounds_.successors().row(eval_.last())) {
+        if (feasible(v)) {
+          next = v;
+          break;
         }
       }
       QUEST_ASSERT(next != model::invalid_service,
@@ -157,6 +154,13 @@ class Search_driver {
   bool feasible(model::Service_id id) const {
     return !placed_.test(id) &&
            (!precedence_ || precedence_->feasible_next(id, placed_.chars()));
+  }
+
+  /// How many entries of `ids` are feasible children of the current node.
+  std::size_t feasible_in(std::span<const model::Service_id> ids) const {
+    return static_cast<std::size_t>(
+        std::count_if(ids.begin(), ids.end(),
+                      [this](model::Service_id id) { return feasible(id); }));
   }
 
   /// Completes the current partial plan with any precedence-feasible
@@ -203,14 +207,7 @@ class Search_driver {
       return backjump_target(k);
     }
 
-    auto& remaining = scratch_remaining_;
-    if (bounds_.closure_enabled() || bounds_.lower_bound_enabled()) {
-      remaining.clear();
-      for (model::Service_id u = 0; u < instance_.size(); ++u) {
-        if (!placed_.test(u)) remaining.push_back(u);
-      }
-    }
-
+    const Member_mask& remaining = placed_.remaining();
     if (bounds_.lower_bound_enabled()) {
       // quest extension: admissible lower bound on the undetermined terms
       // (see core::Lower_bound). A Lemma-1-style prune with a view of the
@@ -225,8 +222,7 @@ class Search_driver {
 
     if (bounds_.closure_enabled()) {
       ++stats_.ebar_evaluations;
-      const double ebar = bounds_.epsilon_bar(eval_, remaining);
-      if (eval_.epsilon() >= ebar) {
+      if (bounds_.closes(eval_, remaining)) {
         // Lemma 2: the ordering of the remaining services cannot affect
         // the bottleneck cost; every completion costs exactly epsilon.
         ++stats_.lemma2_closures;
@@ -241,41 +237,31 @@ class Search_driver {
       }
     }
 
-    // Children: precedence-feasible remaining services, cheapest transfer
-    // from the current last service first (the paper's expansion policy —
-    // Lemma 3's correctness depends on this order).
-    auto& candidates = arena_.row(k);
-    candidates.clear();
-    const model::Service_id last = eval_.last();
-    for (model::Service_id u = 0; u < instance_.size(); ++u) {
-      if (feasible(u)) candidates.push_back({instance_.transfer(last, u), u});
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate& x, const Candidate& y) {
-                return std::tie(x.transfer, x.id) < std::tie(y.transfer, y.id);
-              });
-
+    // Children: the precedence-feasible remaining services in the last
+    // service's successor row — cheapest transfer first (the paper's
+    // expansion policy; Lemma 3's correctness depends on this order).
+    const auto row = bounds_.successors().row(eval_.last());
     const double eps = eval_.epsilon();
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
+    for (std::size_t pos = 0; pos < row.size(); ++pos) {
+      const model::Service_id v = row[pos];
+      if (!feasible(v)) continue;
       if (control_.should_stop()) return 0;
-      const Candidate& candidate = candidates[i];
       // Lemma 1: the term this append would fix is non-decreasing along
-      // the sorted sibling list; once it reaches rho, nothing that starts
-      // here (or with any later sibling) can improve (by more than the
+      // the sibling order; once it reaches rho, nothing that starts here
+      // (or with any later sibling) can improve (by more than the
       // suboptimality factor, when relaxation is on).
-      if (std::max(eps, eval_.term_if_appended(candidate.id)) *
-              config_.relax >=
+      if (std::max(eps, eval_.term_if_appended(v)) * config_.relax >=
           incumbent_.rho()) {
         ++stats_.lemma1_cutoffs;
-        stats_.lemma1_children_skipped += candidates.size() - i;
+        stats_.lemma1_children_skipped += feasible_in(row.subspan(pos));
         break;
       }
-      append(candidate.id);
+      append(v);
       ++stats_.nodes_expanded;
       const std::size_t target = expand();
       pop();
       if (target < k) {
-        stats_.lemma3_siblings_skipped += candidates.size() - i - 1;
+        stats_.lemma3_siblings_skipped += feasible_in(row.subspan(pos + 1));
         return target;
       }
     }
@@ -309,8 +295,6 @@ class Search_driver {
 
   model::Partial_plan_evaluator eval_;
   Placed_set placed_;
-  Candidate_arena arena_;
-  std::vector<model::Service_id> scratch_remaining_;
 };
 
 }  // namespace quest::core

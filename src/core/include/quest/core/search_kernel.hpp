@@ -2,15 +2,18 @@
 //
 // The node/frontier layer of the search kernel: the flat data structures
 // a branch-and-bound driver walks. A DFS "node" here is implicit — its
-// immutable half is the evaluator frame at that depth
-// (model::Partial_plan_evaluator), its mutable half is the sorted
-// candidate row in the Candidate_arena. Everything is allocated once per
-// optimize() call and reused across the whole tree: no per-node heap
-// churn, and each parallel worker owns one private copy of each.
+// state is the evaluator frame at that depth
+// (model::Partial_plan_evaluator) and the remaining-set mask; its
+// children are a row of the Successor_table filtered by that mask, so no
+// node sorts or stores anything. The table is built once per optimize()
+// call and shared read-only; the evaluator and the mask are allocated
+// once per driver and reused across the whole tree, so there is no
+// per-node heap churn and each parallel worker owns one private copy.
 
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "quest/common/bitset64.hpp"
@@ -37,59 +40,59 @@ std::vector<Pair_seed> build_pair_seeds(
     const model::Instance& instance, const model::Cost_model& model,
     const constraints::Precedence_graph* precedence);
 
-/// A not-yet-expanded child during node expansion, keyed by the transfer
-/// cost out of the node's last service (the paper's cheapest-first
-/// expansion order — Lemma 3's correctness depends on it).
-struct Candidate {
-  double transfer;
-  model::Service_id id;
-};
-
-/// Flat per-depth storage for the DFS's sorted-children rows. Row k backs
-/// the node whose partial plan has size k; the recursion reuses rows as
-/// it unwinds, so the whole tree costs n+1 vectors that each reach
-/// capacity n once and never reallocate again.
-class Candidate_arena {
+/// Every service's successors in the paper's cheapest-first expansion
+/// order: row u lists each v != u ascending by (transfer(u, v), v) —
+/// Lemma 3's correctness depends on this order. The order depends only
+/// on the instance, so it is built once per optimize() and shared
+/// read-only by every driver and bound of that call. A node's children
+/// are its last service's row filtered by the node's feasible set; read
+/// in reverse, the row's first remaining entry is the costliest link
+/// into the remaining set (epsilon-bar), read forward the cheapest
+/// (the lower bound). Transfers themselves are read from the instance.
+class Successor_table {
  public:
-  explicit Candidate_arena(std::size_t n) : rows_(n + 1) {
-    for (auto& row : rows_) row.reserve(n);
-  }
+  explicit Successor_table(const model::Instance& instance);
 
-  std::vector<Candidate>& row(std::size_t depth) noexcept {
-    return rows_[depth];
+  std::span<const model::Service_id> row(model::Service_id u) const noexcept {
+    return {ids_.data() + u * width_, width_};
   }
 
  private:
-  std::vector<std::vector<Candidate>> rows_;
+  std::size_t width_;
+  std::vector<model::Service_id> ids_;
 };
 
-/// The prefix set of the current search node: a bitmask membership test
-/// (single-word fast path for n <= 64) kept in lockstep with the
-/// vector<char> mirror the precedence API consumes.
+/// The prefix set of the current search node, kept as the *remaining*
+/// set — the services not yet placed, the set every bound scans and
+/// children are drawn from — plus the vector<char> placed mirror the
+/// precedence API consumes.
 class Placed_set {
  public:
-  explicit Placed_set(std::size_t n) : mask_(n), chars_(n, 0) {}
+  explicit Placed_set(std::size_t n)
+      : remaining_(Member_mask(n).complement(n)), chars_(n, 0) {}
 
-  bool test(model::Service_id id) const noexcept { return mask_.test(id); }
+  bool test(model::Service_id id) const noexcept {
+    return !remaining_.test(id);
+  }
 
   void set(model::Service_id id) noexcept {
-    mask_.set(id);
+    remaining_.reset(id);
     chars_[id] = 1;
   }
 
   void reset(model::Service_id id) noexcept {
-    mask_.reset(id);
+    remaining_.set(id);
     chars_[id] = 0;
   }
 
-  /// Bits 0..63 as a raw word (see Member_mask::word).
-  std::uint64_t word() const noexcept { return mask_.word(); }
+  /// The services not yet placed.
+  const Member_mask& remaining() const noexcept { return remaining_; }
 
   /// The n-length membership mask Precedence_graph::feasible_next takes.
   const std::vector<char>& chars() const noexcept { return chars_; }
 
  private:
-  Member_mask mask_;
+  Member_mask remaining_;
   std::vector<char> chars_;
 };
 

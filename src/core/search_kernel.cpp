@@ -39,4 +39,22 @@ std::vector<Pair_seed> build_pair_seeds(
   return pairs;
 }
 
+Successor_table::Successor_table(const model::Instance& instance)
+    : width_(instance.size() - 1) {
+  const std::size_t n = instance.size();
+  const auto& transfer = instance.transfer_matrix();
+  ids_.reserve(n * width_);
+  for (model::Service_id u = 0; u < n; ++u) {
+    const std::size_t row = ids_.size();
+    for (model::Service_id v = 0; v < n; ++v) {
+      if (v != u) ids_.push_back(v);
+    }
+    std::sort(ids_.begin() + static_cast<std::ptrdiff_t>(row), ids_.end(),
+              [&](model::Service_id x, model::Service_id y) {
+                return std::tie(transfer.at_unchecked(u, x), x) <
+                       std::tie(transfer.at_unchecked(u, y), y);
+              });
+  }
+}
+
 }  // namespace quest::core

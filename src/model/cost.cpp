@@ -148,38 +148,10 @@ void Partial_plan_evaluator::clear() {
   in_plan_.clear();
 }
 
-Service_id Partial_plan_evaluator::last() const {
-  QUEST_EXPECTS(!frames_.empty(), "last() on an empty partial plan");
-  return frames_.back().id;
-}
-
-double Partial_plan_evaluator::product_before_last() const {
-  QUEST_EXPECTS(!frames_.empty(),
-                "product_before_last() on an empty partial plan");
-  return frames_.back().product_before;
-}
-
-double Partial_plan_evaluator::last_selectivity() const {
-  QUEST_EXPECTS(!frames_.empty(),
-                "last_selectivity() on an empty partial plan");
-  return frames_.back().sigma;
-}
-
 std::size_t Partial_plan_evaluator::bottleneck_position() const {
   QUEST_EXPECTS(frames_.size() >= 2,
                 "bottleneck_position() needs at least one determined term");
   return frames_.back().bottleneck_pos;
-}
-
-double Partial_plan_evaluator::term_if_appended(Service_id next) const {
-  QUEST_EXPECTS(!frames_.empty(),
-                "term_if_appended() on an empty partial plan");
-  QUEST_EXPECTS(next < instance_->size(), "service id out of range");
-  QUEST_EXPECTS(!in_plan_.test(next), "candidate already in the partial plan");
-  const Frame& top = frames_.back();
-  return top.product_before *
-         stage_term(model_.effective_cost(*instance_, top.id), top.sigma,
-                    instance_->transfer(top.id, next), model_.policy());
 }
 
 double Partial_plan_evaluator::complete_cost() const {

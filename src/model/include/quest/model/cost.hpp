@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "quest/common/bitset64.hpp"
+#include "quest/common/error.hpp"
 #include "quest/model/cost_model.hpp"
 #include "quest/model/instance.hpp"
 #include "quest/model/plan.hpp"
@@ -101,7 +102,10 @@ class Partial_plan_evaluator {
   bool empty() const noexcept { return frames_.empty(); }
   bool full() const noexcept { return frames_.size() == instance_->size(); }
   bool contains(Service_id id) const { return in_plan_.test(id); }
-  Service_id last() const;
+  Service_id last() const {
+    QUEST_EXPECTS(!frames_.empty(), "last() on an empty partial plan");
+    return frames_.back().id;
+  }
 
   /// The paper's epsilon: max over fully-determined stage terms.
   /// Non-decreasing in append() (Lemma 1); 0 while size() < 2.
@@ -116,11 +120,19 @@ class Partial_plan_evaluator {
   }
 
   /// Input fraction of the last service in the plan (P_k).
-  double product_before_last() const;
+  double product_before_last() const {
+    QUEST_EXPECTS(!frames_.empty(),
+                  "product_before_last() on an empty partial plan");
+    return frames_.back().product_before;
+  }
 
   /// Conditional selectivity of the last service given the services
   /// before it — the sigma its stage term uses. Precondition: non-empty.
-  double last_selectivity() const;
+  double last_selectivity() const {
+    QUEST_EXPECTS(!frames_.empty(),
+                  "last_selectivity() on an empty partial plan");
+    return frames_.back().sigma;
+  }
 
   /// Plan position of the (earliest) stage achieving epsilon — the
   /// bottleneck service among the determined terms. Defined for size >= 2;
@@ -129,7 +141,17 @@ class Partial_plan_evaluator {
 
   /// The determined term the append of `next` would fix for the current
   /// last service, without mutating the evaluator.
-  double term_if_appended(Service_id next) const;
+  double term_if_appended(Service_id next) const {
+    QUEST_EXPECTS(!frames_.empty(),
+                  "term_if_appended() on an empty partial plan");
+    QUEST_EXPECTS(next < instance_->size(), "service id out of range");
+    QUEST_EXPECTS(!in_plan_.test(next),
+                  "candidate already in the partial plan");
+    const Frame& top = frames_.back();
+    return top.product_before *
+           stage_term(model_.effective_cost(*instance_, top.id), top.sigma,
+                      instance_->transfer(top.id, next), model_.policy());
+  }
 
   /// Bottleneck cost of the plan interpreted as complete
   /// (epsilon joined with the last service's sink term).

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "quest/common/error.hpp"
 #include "quest/common/matrix.hpp"
 #include "quest/model/service.hpp"
 
@@ -34,12 +35,18 @@ class Instance {
 
   std::size_t size() const noexcept { return services_.size(); }
 
-  const Service& service(Service_id id) const;
+  const Service& service(Service_id id) const {
+    QUEST_EXPECTS(id < services_.size(), "service id out of range");
+    return services_[id];
+  }
   double cost(Service_id id) const { return service(id).cost; }
   double selectivity(Service_id id) const { return service(id).selectivity; }
 
   /// Per-tuple cost of shipping one tuple from service `from` to `to`.
-  double transfer(Service_id from, Service_id to) const;
+  double transfer(Service_id from, Service_id to) const {
+    QUEST_EXPECTS(from < size() && to < size(), "service id out of range");
+    return transfer_.at_unchecked(from, to);
+  }
 
   /// Per-tuple cost of shipping a result tuple from `from` back to the
   /// query originator. Zero unless the instance models the return link.

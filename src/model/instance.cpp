@@ -47,16 +47,6 @@ Instance::Instance(std::vector<Service> services, Matrix<double> transfer,
   }
 }
 
-const Service& Instance::service(Service_id id) const {
-  QUEST_EXPECTS(id < services_.size(), "service id out of range");
-  return services_[id];
-}
-
-double Instance::transfer(Service_id from, Service_id to) const {
-  QUEST_EXPECTS(from < size() && to < size(), "service id out of range");
-  return transfer_.at_unchecked(from, to);
-}
-
 bool Instance::uniform_transfer() const noexcept {
   const std::size_t n = size();
   for (const double s : sink_transfer_) {

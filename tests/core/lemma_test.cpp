@@ -62,7 +62,9 @@ TEST(Lemma2, AllCompletionsCostEpsilonAfterClosure) {
       for (std::size_t p = prefix_len; p < n; ++p) {
         remaining.push_back(static_cast<Service_id>(order[p]));
       }
-      if (eval.epsilon() < ebar.evaluate(eval, remaining)) continue;
+      Member_mask mask(n);
+      for (const Service_id id : remaining) mask.set(id);
+      if (eval.epsilon() < ebar.evaluate(eval, mask)) continue;
       ++closures_checked;
       std::sort(remaining.begin(), remaining.end());
       do {

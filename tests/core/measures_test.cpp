@@ -1,6 +1,8 @@
 // Property tests for the epsilon-bar measure: it must upper-bound every
 // stage term any completion of a partial plan can still produce (this is
-// exactly what Lemma 2's soundness needs).
+// exactly what Lemma 2's soundness needs), and its early-exit test
+// closes() must answer exactly what comparing epsilon with evaluate()
+// answers.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +10,9 @@
 
 #include "quest/core/measures.hpp"
 #include "quest/model/cost.hpp"
+#include "support/generators.hpp"
 #include "support/helpers.hpp"
+#include "support/property.hpp"
 
 namespace quest {
 namespace {
@@ -36,6 +40,13 @@ model::Cost_model make_model(const Param& param, std::size_t n) {
                                                     param.seed * 11 + 3,
                                                     param.policy)
              : model::Cost_model::independent(param.policy);
+}
+
+/// The remaining-set mask the measures take, over n services.
+Member_mask mask_of(std::size_t n, const std::vector<Service_id>& ids) {
+  Member_mask mask(n);
+  for (const Service_id id : ids) mask.set(id);
+  return mask;
 }
 
 class Epsilon_bar_property : public ::testing::TestWithParam<Param> {};
@@ -69,7 +80,7 @@ TEST_P(Epsilon_bar_property, BoundsEveryUndeterminedTerm) {
     for (const auto mode :
          {Epsilon_bar_mode::exact, Epsilon_bar_mode::loose}) {
       const Epsilon_bar ebar(instance, cost_model, mode);
-      const double bound = ebar.evaluate(eval, remaining);
+      const double bound = ebar.evaluate(eval, mask_of(n, remaining));
 
       // Complete the plan in the sampled order and compare each stage term
       // from position prefix_len-1 (the dangling term) onwards.
@@ -113,8 +124,9 @@ TEST_P(Epsilon_bar_property, ExactAtMostLoose) {
     for (std::size_t p = prefix_len; p < n; ++p) {
       remaining.push_back(static_cast<Service_id>(order[p]));
     }
-    EXPECT_LE(exact.evaluate(eval, remaining),
-              loose.evaluate(eval, remaining) * (1.0 + 1e-12));
+    const Member_mask mask = mask_of(n, remaining);
+    EXPECT_LE(exact.evaluate(eval, mask),
+              loose.evaluate(eval, mask) * (1.0 + 1e-12));
   }
 }
 
@@ -162,7 +174,8 @@ TEST_P(Epsilon_bar_property, LowerBoundIsAdmissible) {
     for (std::size_t p = prefix_len; p < n; ++p) {
       remaining.push_back(static_cast<Service_id>(order[p]));
     }
-    const double bound = lower.evaluate(eval, remaining);
+    const Member_mask mask = mask_of(n, remaining);
+    const double bound = lower.evaluate(eval, mask);
 
     Plan full;
     for (const std::size_t id : order) {
@@ -174,7 +187,7 @@ TEST_P(Epsilon_bar_property, LowerBoundIsAdmissible) {
         << "trial " << trial;
     // The lower bound never exceeds the upper bound.
     const Epsilon_bar ebar(instance, cost_model, Epsilon_bar_mode::exact);
-    EXPECT_LE(bound, ebar.evaluate(eval, remaining) * (1.0 + 1e-12));
+    EXPECT_LE(bound, ebar.evaluate(eval, mask) * (1.0 + 1e-12));
   }
 }
 
@@ -183,10 +196,78 @@ TEST(Epsilon_bar_test, RequiresNonEmptyPlanAndRemaining) {
   const Epsilon_bar ebar(instance, model::Cost_model{},
                          Epsilon_bar_mode::exact);
   Partial_plan_evaluator eval(instance);
-  const std::vector<Service_id> remaining{2, 3};
+  const Member_mask remaining = mask_of(4, {2, 3});
   EXPECT_THROW(ebar.evaluate(eval, remaining), Precondition_error);
+  EXPECT_THROW(ebar.closes(eval, remaining), Precondition_error);
   eval.append(0);
-  EXPECT_THROW(ebar.evaluate(eval, {}), Precondition_error);
+  EXPECT_THROW(ebar.evaluate(eval, Member_mask(4)), Precondition_error);
+  EXPECT_THROW(ebar.closes(eval, Member_mask(4)), Precondition_error);
+}
+
+/// A random instance (sigma > 1 services in half the cases, result links
+/// in a quarter), cost model and partial plan for the closes() law.
+struct Closure_case {
+  Instance instance;
+  model::Cost_model model;
+  std::vector<Service_id> order;
+  std::size_t prefix_len = 1;
+};
+
+Closure_case gen_closure_case(Rng& rng) {
+  const std::size_t n = static_cast<std::size_t>(rng.uniform_int(2, 12));
+  const double sigma_hi = rng.bernoulli(0.5) ? 3.0 : 0.95;
+  Closure_case c{rng.bernoulli(0.25) ? test::sink_instance(n, rng())
+                                     : test::gen_instance(rng, n, 0.05,
+                                                          sigma_hi),
+                 model::Cost_model::independent(test::gen_policy(rng)),
+                 {},
+                 1};
+  if (rng.bernoulli(0.5)) c.model = test::gen_correlated_spec(rng).bind(n);
+  c.order = test::gen_plan(rng, n).order();
+  // Deep prefixes are where Lemma 2 fires; keep both outcomes common.
+  c.prefix_len = rng.bernoulli(0.5)
+                     ? n - 1
+                     : 1 + static_cast<std::size_t>(rng.uniform_int(n - 1));
+  return c;
+}
+
+TEST(Epsilon_bar_test, ClosesAgreesWithEvaluate) {
+  std::size_t closed = 0;
+  std::size_t open = 0;
+  test::check_property<Closure_case>(
+      "closes(eval, R) == (epsilon >= evaluate(eval, R))",
+      test::Property_config{}, gen_closure_case,
+      [&](const Closure_case& c) -> ::testing::AssertionResult {
+        const std::size_t n = c.instance.size();
+        const auto bounds = c.model.selectivity_bounds(c.instance);
+        if (!bounds.has_value() || !bounds->hi_sound) {
+          return ::testing::AssertionSuccess();
+        }
+        Partial_plan_evaluator eval(c.instance, c.model);
+        Member_mask remaining = Member_mask(n).complement(n);
+        for (std::size_t p = 0; p < c.prefix_len; ++p) {
+          eval.append(c.order[p]);
+          remaining.reset(c.order[p]);
+        }
+        for (const auto mode :
+             {Epsilon_bar_mode::exact, Epsilon_bar_mode::loose}) {
+          const Epsilon_bar ebar(c.instance, c.model, mode);
+          const double bound = ebar.evaluate(eval, remaining);
+          const bool closes = ebar.closes(eval, remaining);
+          (closes ? closed : open) += 1;
+          if (closes != (eval.epsilon() >= bound)) {
+            return QUEST_PROP(false)
+                   << "n=" << n << " prefix=" << c.prefix_len << " mode "
+                   << static_cast<int>(mode) << ": epsilon "
+                   << eval.epsilon() << ", evaluate " << bound
+                   << ", closes " << closes;
+          }
+        }
+        return ::testing::AssertionSuccess();
+      });
+  // The law must be exercised on both sides.
+  EXPECT_GT(closed, 20u);
+  EXPECT_GT(open, 20u);
 }
 
 }  // namespace

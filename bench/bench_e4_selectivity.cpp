@@ -61,8 +61,12 @@ int main(int argc, char** argv) {
       pairs.add(static_cast<double>(result.stats.pairs_explored));
       if (opt::stopped_early(result.termination)) ++limits;
     }
-    table.add_row({"[" + Table::num(regime.lo, 1) + ", " +
-                       Table::num(regime.hi, 1) + "]",
+    std::string range = "[";
+    range += Table::num(regime.lo, 1);
+    range += ", ";
+    range += Table::num(regime.hi, 1);
+    range += "]";
+    table.add_row({range,
                    Table::num(ms.mean(), 2), bench::human_count(nodes.mean()),
                    bench::human_count(closures.mean()),
                    bench::human_count(backjumps.mean()),

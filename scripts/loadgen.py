@@ -604,10 +604,11 @@ def router_phase(args):
     }
 
 
-def optimize_outcome(client, request_id, name):
+def optimize_outcome(client, request_id, name, admitted=None):
     """Sends one optimize and returns its terminal event (result|error).
-    Failovers are invisible here by design — at most a duplicate
-    `admitted`, which the predicate skips."""
+    Failovers are invisible here by design: the router forwards one
+    `admitted` per id. With an `admitted` dict, counts the `admitted`
+    events each id gets."""
     client.send(
         {
             "op": "optimize",
@@ -618,23 +619,28 @@ def optimize_outcome(client, request_id, name):
             "cache": True,
         }
     )
-    return client.wait_for(
-        lambda e: e.get("id") == request_id
-        and e.get("event") in ("result", "error"),
-        f"outcome of {request_id}",
-    )
+
+    def terminal(event):
+        if event.get("id") != request_id:
+            return False
+        if event.get("event") == "admitted" and admitted is not None:
+            admitted[request_id] = admitted.get(request_id, 0) + 1
+        return event.get("event") in ("result", "error")
+
+    return client.wait_for(terminal, f"outcome of {request_id}")
 
 
-def replicated_load(port, names, stop, errors, completed):
+def replicated_load(port, names, stop, errors, completed, admitted):
     """Background load: optimize round-robin over `names` until told to
-    stop, recording any client-visible error. With --replicas 2 and one
-    dead backend, this list must stay empty."""
+    stop, recording any client-visible error and counting `admitted`
+    events per id. With --replicas 2 and one dead backend, the error
+    list must stay empty."""
     try:
         with Client(port) as client:
             r = 0
             while not stop.is_set():
                 event = optimize_outcome(
-                    client, f"load/{r}", names[r % len(names)]
+                    client, f"load/{r}", names[r % len(names)], admitted
                 )
                 if event["event"] == "error":
                     errors.append(f"load/{r}: client-visible error {event}")
@@ -707,9 +713,10 @@ def replication_phase(args):
         stop = threading.Event()
         errors = []
         completed = []
+        admitted = {}
         load = threading.Thread(
             target=replicated_load,
-            args=(router.port, names, stop, errors, completed),
+            args=(router.port, names, stop, errors, completed, admitted),
         )
         load.start()
         time.sleep(0.4)  # let the load reach steady state
@@ -723,6 +730,11 @@ def replication_phase(args):
             fail("; ".join(errors[:5]))
         if len(completed) < len(names):
             fail(f"load barely ran: {len(completed)} requests completed")
+        # A failover re-admits the request on the next owner; the router
+        # must still show each id one `admitted`.
+        doubled = sorted(i for i, count in admitted.items() if count > 1)
+        if doubled:
+            fail(f"ids admitted twice across the kill: {doubled[:5]}")
 
         # One deliberate pass over every key with the shard still dead:
         # guarantees at least one request had the victim as its primary.

@@ -8,9 +8,9 @@
 // backend costs a bounded trickle of SYNs, not a busy loop.
 //
 // The monitor is the *authority* on shard liveness but not the only
-// informant: the replica router calls mark_dead() the instant a forward
-// hits a dead socket, so routing decisions never wait a probe period to
-// learn what a failed write already proved. Transitions fire callbacks
+// informant: the replica router calls mark_dead() the instant a backend
+// link drops, so routing decisions never wait a probe period to learn
+// what a closed socket already proved. Transitions fire callbacks
 // (on the probe thread for probe-driven ones, on the caller's thread for
 // mark_dead) — the router uses dead->live to trigger journal-replay
 // repair of the rejoining backend.
@@ -45,7 +45,7 @@ class Health_monitor {
   /// `shard_up` / `shard_down` fire on every transition (never while the
   /// monitor's lock is held, so they may call back into the monitor).
   /// Either may be empty. Shards start *live* — the fleet is assumed
-  /// healthy until a probe or a send failure proves otherwise.
+  /// healthy until a probe or a dropped link proves otherwise.
   Health_monitor(Health_options options,
                  std::function<void(std::size_t)> shard_up,
                  std::function<void(std::size_t)> shard_down);
@@ -59,7 +59,7 @@ class Health_monitor {
   /// Stops and joins the probe thread. Idempotent; also run by ~.
   void stop();
 
-  /// Reports a shard dead *now* (a forward hit a closed socket). Fires
+  /// Reports a shard dead *now* (a backend link dropped). Fires
   /// shard_down on the calling thread if this is a transition, and
   /// schedules the first re-probe one base interval out.
   void mark_dead(std::size_t shard);

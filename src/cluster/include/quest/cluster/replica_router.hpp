@@ -1,7 +1,7 @@
 // quest/cluster/replica_router.hpp
 //
 // The front of a quest_serve fleet. The router speaks the ordinary wire
-// protocol to its clients over any serve::Transport and forwards raw
+// protocol to its clients over a serve::Tcp_transport and forwards raw
 // lines to backends by the consistent hash of the instance's content
 // fingerprint (quest/store/shard_map.hpp). Backends key their plan
 // caches and snapshots by the same fingerprint, so routing by it keeps
@@ -22,10 +22,12 @@
 //    connection (at admission or mid-flight) or a backend "overloaded"
 //    shed, the router re-sends the saved raw line to the next live
 //    owner and counts a "replica_failovers". Request ids are never
-//    rewritten, so clients cannot tell a failover happened (beyond a
-//    possible duplicate "admitted" — delivery is at-least-once across a
-//    failover, never at-most-once). optimize_batch is split into single
-//    optimize forwards, since elements may hash to different shards.
+//    rewritten, and the router forwards only the first "admitted" per
+//    routed id, so clients cannot tell a failover happened: one
+//    "admitted", then one result or typed error. (The work itself may
+//    run on two backends — a backend that dies mid-flight has already
+//    started it.) optimize_batch is split into single optimize
+//    forwards, since elements may hash to different shards.
 //    With no live owner left the op sheds with the typed "overloaded"
 //    error, the same one a busy backend uses.
 //  * repair — a backend answering a routed optimize with the typed
@@ -40,18 +42,28 @@
 //    "replicas", "shards_degraded", "replica_failovers", "repairs",
 //    "replica_lag".
 //  * shutdown — forwarded to every reachable backend; the router folds
-//    their shutdown events into one merged pair and stops its transport.
+//    their shutdown pairs as they arrive (a backend that drops its link
+//    instead counts as answered) and, once every one has answered,
+//    sends one merged pair and stops its transport.
 //
 // Liveness comes from an active Health_monitor (probe thread with
 // exponential backoff), not lazy reconnects: routing never dials a shard
-// the prober says is dead, and a send failure reports the death
-// immediately via mark_dead.
+// the prober says is dead, and a backend link that drops reports the
+// death immediately via mark_dead.
 //
-// Threading: client bytes arrive on the transport loop thread; each
-// backend connection has a reader thread; the health prober calls in on
-// transitions. One router-wide mutex guards all shared state. Reader
-// threads are never joined while it is held — dead links are parked on a
-// zombie list and reaped from the loop thread.
+// Threading: everything runs on the transport's loop thread. A backend
+// link is a socket the router dials (dial_backend) and hands to
+// Tcp_transport::adopt, so backend lines arrive through on_data, a link's
+// end through on_close, and sends are buffered transport sends that
+// never block. A backend that stops reading therefore stalls only the
+// clients whose links to it are backed up: the transport pauses those
+// clients' reads (see tcp_transport.hpp). There stays one link per
+// (client × shard), so backends see per-client id scoping,
+// cancel-on-disconnect, stats and shutdown as from direct clients. The one
+// other thread is the health prober, whose dead->live heal replays the
+// journal over the shard's replication feed; `feeds_mutex_` guards the
+// feed slots, and no lock is held across a blocking call other than
+// the dial.
 
 #pragma once
 
@@ -59,11 +71,10 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -71,7 +82,7 @@
 #include "quest/cluster/registration_journal.hpp"
 #include "quest/io/json.hpp"
 #include "quest/serve/line_framer.hpp"
-#include "quest/serve/transport.hpp"
+#include "quest/serve/tcp_transport.hpp"
 #include "quest/store/shard_map.hpp"
 
 namespace quest::cluster {
@@ -98,7 +109,7 @@ struct Replica_options {
 /// then serve(); returns true when a client shutdown op ended the run.
 class Replica_router {
  public:
-  Replica_router(Replica_options options, serve::Transport& transport);
+  Replica_router(Replica_options options, serve::Tcp_transport& transport);
   ~Replica_router();
 
   Replica_router(const Replica_router&) = delete;
@@ -121,23 +132,21 @@ class Replica_router {
  private:
   struct Client;
 
-  /// One connection to one backend shard. Client links (client != null)
-  /// forward backend events to their client; replication feeds
-  /// (client == null) swallow everything they read.
+  /// One adopted connection from one client to one backend shard.
   struct Link {
-    std::size_t shard = 0;
-    int fd = -1;
-    std::shared_ptr<Client> client;
-    std::thread reader;
-    std::atomic<bool> down{false};
-    /// Intentional teardown (shutdown/close): the reader's exit must not
-    /// mark the shard dead — the backend did nothing wrong.
-    std::atomic<bool> retired{false};
-    /// Guarded by mutex_: owes a stats event to the merge in flight.
+    Link(std::size_t shard, Client& client) : shard(shard), client(&client) {}
+
+    std::size_t shard;
+    Client* client;
+    /// Backend lines are trusted: no cap.
+    serve::Line_framer framer{std::numeric_limits<std::size_t>::max()};
+    /// Owes a stats event to the merge in flight.
     bool merge_member = false;
-    /// Guarded by mutex_: fingerprints whose journal register was
-    /// replayed on this link and whose "registered" ack must be
-    /// swallowed; the value holds raw op lines to re-send once it is.
+    /// Owes a shutdown pair to the client's shutdown fold.
+    bool shutdown_member = false;
+    /// Fingerprints whose journal register was replayed on this link and
+    /// whose "registered" ack must be swallowed; the value holds raw op
+    /// lines to re-send once it is.
     std::unordered_map<std::uint64_t, std::vector<std::string>> repairs;
   };
 
@@ -153,26 +162,29 @@ class Replica_router {
     std::size_t hops = 0;
     /// The raw op line, for replay on failover.
     std::string line;
+    /// An "admitted" was forwarded; a failover's second one is not.
+    bool admitted = false;
   };
 
   /// One front-side client connection and everything routed for it.
   struct Client {
-    Client(serve::Connection_id id, std::size_t max_line_bytes)
-        : id(id), framer(max_line_bytes) {}
+    Client(serve::Connection_id id, std::size_t max_line_bytes,
+           std::size_t shards)
+        : id(id), framer(max_line_bytes), links(shards, 0) {}
 
     serve::Connection_id id;
-    /// Loop thread only.
     serve::Line_framer framer;
-    /// Indexed by shard; null until first use. Guarded by mutex_.
-    std::vector<std::shared_ptr<Link>> links;
-    /// Request id -> route. Guarded by mutex_.
+    /// Link connection ids, indexed by shard; 0 until first use.
+    std::vector<serve::Connection_id> links;
+    /// Request id -> route.
     std::unordered_map<std::string, Route> routes;
-    /// Stats merge in flight. Guarded by mutex_.
+    /// Stats merge in flight.
     std::size_t merge_pending = 0;
     std::vector<io::Json> merge_events;
-    /// Shutdown forwarded: readers fold per-backend shutdown events
-    /// into these instead of forwarding. Guarded by mutex_.
+    /// Shutdown forwarded: further client lines are ignored, and the
+    /// backends' shutdown pairs fold into these until none is pending.
     bool closing = false;
+    std::size_t shutdown_pending = 0;
     double shutdown_outstanding = 0;
     double shutdown_completed = 0;
   };
@@ -181,93 +193,89 @@ class Replica_router {
   void on_data(serve::Connection_id id, std::string_view chunk);
   void on_close(serve::Connection_id id);
 
-  bool handle_line(const std::shared_ptr<Client>& client,
-                   std::string_view line);
-  void handle_register(const std::shared_ptr<Client>& client,
-                       const io::Json& doc, std::string_view line);
-  void route_optimize(const std::shared_ptr<Client>& client,
-                      const io::Json& doc, const std::string& id,
-                      std::string_view line);
-  void handle_cancel(const std::shared_ptr<Client>& client,
-                     const std::string& id, std::string_view line);
+  bool handle_line(Client& client, std::string_view line);
+  void handle_register(Client& client, const io::Json& doc,
+                       std::string_view line);
+  void route_optimize(Client& client, const io::Json& doc,
+                      const std::string& id, std::string_view line);
+  void handle_cancel(Client& client, const std::string& id,
+                     std::string_view line);
   /// register/observe/refit share the fan-out shape; this does the
   /// primary-ack + best-effort-secondaries part.
-  void fan_out(const std::shared_ptr<Client>& client,
-               const std::vector<std::size_t>& owners, std::string_view line,
-               const std::string& id);
-  void handle_stats(const std::shared_ptr<Client>& client,
-                    std::string_view line);
-  bool handle_shutdown(const std::shared_ptr<Client>& client,
-                       std::string_view line);
+  void fan_out(Client& client, const std::vector<std::size_t>& owners,
+               std::string_view line, const std::string& id);
+  void handle_stats(Client& client, std::string_view line);
+  void handle_shutdown(Client& client, std::string_view line);
 
   /// Resolves the "instance" field (registered name or inline document)
   /// to a fingerprint; false when resolution failed (an error event has
   /// been sent).
-  bool resolve_instance(const std::shared_ptr<Client>& client,
-                        const io::Json& doc, const std::string& id,
-                        std::uint64_t& print);
+  bool resolve_instance(Client& client, const io::Json& doc,
+                        const std::string& id, std::uint64_t& print);
 
-  /// Live client link to `shard`; dials if needed (never for a shard the
-  /// health monitor calls dead). Caller holds mutex_.
-  std::shared_ptr<Link> link_locked(const std::shared_ptr<Client>& client,
-                                    std::size_t shard);
-  /// Sends `line` to `shard` over the client's link; marks the shard
-  /// dead on failure. Caller holds mutex_.
-  bool send_locked(const std::shared_ptr<Client>& client, std::size_t shard,
-                   std::string_view line);
+  /// The client's link to `shard`, dialed and adopted if needed (never
+  /// for a shard the health monitor calls dead); 0 when unreachable.
+  serve::Connection_id link_for(Client& client, std::size_t shard);
+  /// Sends `line` to `shard` over the client's link; false when the
+  /// shard is unreachable.
+  bool send_to(Client& client, std::size_t shard, std::string_view line);
   /// Sends over the shard's replication feed; false bumps nothing —
   /// callers decide whether a miss is lag or a repair to retry. Caller
-  /// holds mutex_.
+  /// holds feeds_mutex_.
   bool feed_send_locked(std::size_t shard, std::string_view line);
 
   /// Moves the route to its next live owner and re-sends its line; false
-  /// when no owner is left (caller sheds). Caller holds mutex_;
-  /// `avoiding` is the shard that just failed.
-  bool failover_locked(const std::shared_ptr<Client>& client, Route& route,
-                       std::size_t avoiding);
+  /// when no owner is left (caller sheds). `avoiding` is the shard that
+  /// just failed.
+  bool failover(Client& client, Route& route, std::size_t avoiding);
 
-  void shed(const std::shared_ptr<Client>& client, const std::string& id,
-            std::size_t shard);
+  void shed(Client& client, const std::string& id, std::size_t shard);
 
-  void reader_loop(std::shared_ptr<Link> link);
-  void handle_backend_line(const std::shared_ptr<Link>& link,
+  /// One line from a backend link. False when the line retired the link
+  /// (its framer is gone, so framing must stop).
+  bool handle_backend_line(serve::Connection_id id, Link& link,
                            std::string_view line);
-  /// True when the line was an intercepted error (failover / repair /
-  /// swallowed repair ack) that must not reach the client.
-  bool intercept_event(const std::shared_ptr<Link>& link,
+  /// True when the line was an intercepted event (stats share, failover,
+  /// repair, swallowed repair ack) that must not reach the client.
+  bool intercept_event(serve::Connection_id id, Link& link,
                        std::string_view line);
-  void link_down(const std::shared_ptr<Link>& link);
-  void finish_merge_locked(Client& client);
+  /// Folds one of the backend's shutdown pair; false when the
+  /// "shutdown-complete" retired the link.
+  bool fold_shutdown(serve::Connection_id id, Link& link,
+                     std::string_view line);
+  /// A link owing a shutdown pair answered or dropped; the last one
+  /// sends the merged pair and stops the transport.
+  void shutdown_answered(Client& client);
+  void link_down(serve::Connection_id id);
+  /// Drops a link the router is done with; its on_close is ignored.
+  void retire(serve::Connection_id id);
+  void finish_merge(Client& client);
 
   /// Health transition: a shard came back — replay its share of the
   /// journal over its replication feed. Runs on the probe thread.
   void heal_shard(std::size_t shard);
 
-  /// Parks a dead link for the loop thread to join. Caller holds mutex_.
-  void park_locked(std::shared_ptr<Link> link);
-  /// Joins and closes parked links. Loop thread (or destructor) only,
-  /// mutex_ NOT held.
-  void reap_zombies();
-  void teardown_all();
-
   Replica_options options_;
-  serve::Transport& transport_;
+  serve::Tcp_transport& transport_;
   store::Shard_map map_;
   Registration_journal journal_;
   Health_monitor health_;
 
-  std::mutex mutex_;
-  std::unordered_map<serve::Connection_id, std::shared_ptr<Client>> clients_;
+  /// Loop thread only, like everything below up to feeds_mutex_.
+  std::unordered_map<serve::Connection_id, Client> clients_;
+  /// Client links by connection id; a retired link is already gone.
+  std::unordered_map<serve::Connection_id, Link> links_;
   /// Registered name -> fingerprint. Names registered before a router
   /// restart are unknown to the new router; clients re-register (or send
   /// inline documents) — backends dedupe by fingerprint, so
   /// re-registration is idempotent and cache-preserving.
   std::unordered_map<std::string, std::uint64_t> names_;
-  /// Per-shard replication feeds (event-swallowing links).
-  std::vector<std::shared_ptr<Link>> feeds_;
-  /// Dead links awaiting join.
-  std::vector<std::shared_ptr<Link>> zombies_;
   bool shutdown_requested_ = false;
+
+  /// Per-shard replication feeds (adopted links whose events are
+  /// swallowed), 0 when not connected. Shared with the probe thread.
+  std::mutex feeds_mutex_;
+  std::vector<serve::Connection_id> feeds_;
 
   std::atomic<std::uint64_t> replica_failovers_{0};
   std::atomic<std::uint64_t> repairs_{0};

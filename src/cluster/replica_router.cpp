@@ -1,11 +1,6 @@
 #include "quest/cluster/replica_router.hpp"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <iterator>
 #include <map>
 #include <utility>
 
@@ -23,32 +18,15 @@ bool starts_with(std::string_view line, std::string_view prefix) {
   return line.substr(0, prefix.size()) == prefix;
 }
 
-/// Writes one newline-framed line to a backend socket; false on any
-/// write error (callers treat the link as dead). MSG_NOSIGNAL keeps a
-/// closed backend from raising SIGPIPE into the process.
-bool send_backend_line(int fd, std::string_view line) noexcept {
-  std::string framed(line);
-  framed.push_back('\n');
-  std::size_t offset = 0;
-  while (offset < framed.size()) {
-    const ssize_t n = ::send(fd, framed.data() + offset,
-                             framed.size() - offset, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    offset += static_cast<std::size_t>(n);
-  }
-  return true;
-}
+constexpr std::string_view k_admitted_prefix =
+    "{\"event\":\"admitted\",\"id\":\"";
+constexpr std::string_view k_result_prefix = "{\"event\":\"result\",\"id\":\"";
 
-/// Best-effort id extraction from a backend "result" line, so the route
-/// entry can be retired. Result events always start
-/// {"event":"result","id":"..." (the builder's field order is fixed);
-/// anything else returns empty and the entry stays until cancel or
-/// client disconnect — bounded either way.
-std::string result_event_id(std::string_view line) {
-  constexpr std::string_view prefix = "{\"event\":\"result\",\"id\":\"";
+/// Best-effort id extraction from a backend event line that starts with
+/// `prefix` (`{"event":"<kind>","id":"` — the builders' field order is
+/// fixed), so the route entry can be updated or retired. Anything else,
+/// an escaped id included, returns empty and the line is forwarded as is.
+std::string event_id(std::string_view line, std::string_view prefix) {
   if (!starts_with(line, prefix)) return {};
   const auto rest = line.substr(prefix.size());
   std::string id;
@@ -109,7 +87,7 @@ io::Json merge_stats_events(const std::vector<io::Json>& events,
 }
 
 Replica_router::Replica_router(Replica_options options,
-                               serve::Transport& transport)
+                               serve::Tcp_transport& transport)
     : options_(std::move(options)),
       transport_(transport),
       map_(std::max<std::size_t>(options_.backends.size(), 1),
@@ -120,7 +98,7 @@ Replica_router::Replica_router(Replica_options options,
                          options_.max_backoff},
           [this](std::size_t shard) { heal_shard(shard); },
           /*shard_down=*/nullptr),
-      feeds_(options_.backends.size()) {
+      feeds_(options_.backends.size(), 0) {
   QUEST_EXPECTS(!options_.backends.empty(),
                 "replica router needs at least one backend");
   QUEST_EXPECTS(options_.replicas >= 1 &&
@@ -131,13 +109,9 @@ Replica_router::Replica_router(Replica_options options,
   health_.start();
 }
 
-Replica_router::~Replica_router() {
-  // Probe thread first, so no heal replay races the teardown; then every
-  // link (client-facing and replication feeds) in the two-pass
-  // shutdown-then-join order.
-  health_.stop();
-  teardown_all();
-}
+// The probe thread first, so no heal replay races the teardown. Links
+// need nothing: the transport closes them when its run ends.
+Replica_router::~Replica_router() { health_.stop(); }
 
 bool Replica_router::serve() {
   serve::Transport::Handlers handlers;
@@ -150,20 +124,30 @@ bool Replica_router::serve() {
 }
 
 void Replica_router::on_open(serve::Connection_id id) {
-  auto client = std::make_shared<Client>(id, options_.max_line_bytes);
-  client->links.resize(options_.backends.size());
-  clients_.emplace(id, std::move(client));
+  clients_.try_emplace(id, id, options_.max_line_bytes,
+                       options_.backends.size());
 }
 
 void Replica_router::on_data(serve::Connection_id id,
                              std::string_view chunk) {
-  reap_zombies();
+  if (const auto found = links_.find(id); found != links_.end()) {
+    // A reference, not the iterator: a failover may dial a new link and
+    // rehash links_ while this one's lines are handled.
+    Link& link = found->second;
+    link.framer.feed(
+        chunk,
+        [&](std::string_view line) {
+          return handle_backend_line(id, link, line);
+        },
+        [] {});
+    return;
+  }
   const auto found = clients_.find(id);
-  if (found == clients_.end()) return;
-  const std::shared_ptr<Client> client = found->second;
-  client->framer.feed(
-      chunk,
-      [&](std::string_view line) { return handle_line(client, line); },
+  if (found == clients_.end()) return;  // a replication feed: swallow
+  Client& client = found->second;
+  if (client.closing) return;
+  client.framer.feed(
+      chunk, [&](std::string_view line) { return handle_line(client, line); },
       [&] {
         transport_.send(
             id, serve::line_overflow_event(options_.max_line_bytes).dump());
@@ -171,35 +155,36 @@ void Replica_router::on_data(serve::Connection_id id,
 }
 
 void Replica_router::on_close(serve::Connection_id id) {
-  const auto found = clients_.find(id);
-  if (found == clients_.end()) return;
-  std::vector<std::shared_ptr<Link>> doomed;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& slot : found->second->links) {
-      if (slot == nullptr) continue;
-      slot->retired.store(true, std::memory_order_release);
-      ::shutdown(slot->fd, SHUT_RDWR);
-      doomed.push_back(std::move(slot));
+  if (links_.count(id) != 0) {
+    link_down(id);
+    return;
+  }
+  if (const auto found = clients_.find(id); found != clients_.end()) {
+    // A client that asked for shutdown may hang up at once; its links
+    // stay until the backends answer, and the last answer stops the run.
+    if (found->second.closing) return;
+    for (const serve::Connection_id link : found->second.links) {
+      if (link != 0) retire(link);
     }
+    clients_.erase(found);
+    return;
   }
-  for (const auto& link : doomed) {
-    if (link->reader.joinable()) link->reader.join();
-    ::close(link->fd);
-  }
-  clients_.erase(found);
-  reap_zombies();
+  // A replication feed (or a retired link, which matches no slot).
+  std::lock_guard<std::mutex> lock(feeds_mutex_);
+  const auto feed = std::find(feeds_.begin(), feeds_.end(), id);
+  if (feed == feeds_.end()) return;
+  *feed = 0;
+  health_.mark_dead(static_cast<std::size_t>(feed - feeds_.begin()));
 }
 
-bool Replica_router::handle_line(const std::shared_ptr<Client>& client,
-                                 std::string_view line) {
+bool Replica_router::handle_line(Client& client, std::string_view line) {
   io::Json doc;
   std::string op;
   try {
     doc = io::Json::parse(line);
     op = doc.at("op").as_string();
   } catch (const std::exception& error) {
-    transport_.send(client->id,
+    transport_.send(client.id,
                     serve::error_event(error.what(), {}, "parse").dump());
     return true;
   }
@@ -228,7 +213,7 @@ bool Replica_router::handle_line(const std::shared_ptr<Client>& client,
     const io::Json* requests = doc.find("requests");
     if (requests == nullptr || !requests->is_array()) {
       transport_.send(
-          client->id,
+          client.id,
           serve::error_event("optimize_batch needs a \"requests\" array", id,
                              "parse")
               .dump());
@@ -237,7 +222,7 @@ bool Replica_router::handle_line(const std::shared_ptr<Client>& client,
     const auto& elements = requests->as_array();
     if (elements.size() > serve::k_max_batch_requests) {
       transport_.send(
-          client->id,
+          client.id,
           serve::error_event(
               "optimize_batch exceeds " +
                   std::to_string(serve::k_max_batch_requests) + " requests",
@@ -245,12 +230,12 @@ bool Replica_router::handle_line(const std::shared_ptr<Client>& client,
               .dump());
       return true;
     }
-    transport_.send(client->id,
+    transport_.send(client.id,
                     serve::batch_event(id, elements.size()).dump());
     for (std::size_t index = 0; index < elements.size(); ++index) {
       const io::Json& element = elements[index];
       if (!element.is_object()) {
-        transport_.send(client->id,
+        transport_.send(client.id,
                         serve::error_event("batch element " +
                                                std::to_string(index) +
                                                " is not an object",
@@ -280,7 +265,7 @@ bool Replica_router::handle_line(const std::shared_ptr<Client>& client,
     try {
       id = doc.at("id").as_string();
     } catch (const std::exception& error) {
-      transport_.send(client->id,
+      transport_.send(client.id,
                       serve::error_event(error.what(), {}, "parse").dump());
       return true;
     }
@@ -301,17 +286,17 @@ bool Replica_router::handle_line(const std::shared_ptr<Client>& client,
   }
 
   if (op == "shutdown") {
-    return handle_shutdown(client, line);
+    handle_shutdown(client, line);
+    return false;
   }
 
   transport_.send(
-      client->id,
+      client.id,
       serve::error_event("unknown op \"" + op + "\"", {}, "parse").dump());
   return true;
 }
 
-void Replica_router::handle_register(const std::shared_ptr<Client>& client,
-                                     const io::Json& doc,
+void Replica_router::handle_register(Client& client, const io::Json& doc,
                                      std::string_view line) {
   std::string name;
   std::uint64_t print = 0;
@@ -323,37 +308,32 @@ void Replica_router::handle_register(const std::shared_ptr<Client>& client,
         document.instance,
         document.precedence ? &*document.precedence : nullptr);
   } catch (const std::exception& error) {
-    transport_.send(client->id,
+    transport_.send(client.id,
                     serve::error_event(error.what(), {}, "parse").dump());
     return;
   }
   // Journal before forwarding: even a register that sheds (whole owner
   // set down) is replayable the moment an owner comes back.
   journal_.record(print, name, std::string(line));
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    names_[name] = print;
-  }
+  names_[name] = print;
   fan_out(client, map_.replicas(print, options_.replicas), line, {});
 }
 
-bool Replica_router::resolve_instance(const std::shared_ptr<Client>& client,
-                                      const io::Json& doc,
+bool Replica_router::resolve_instance(Client& client, const io::Json& doc,
                                       const std::string& id,
                                       std::uint64_t& print) {
   const io::Json* instance = doc.find("instance");
   if (instance == nullptr) {
     transport_.send(
-        client->id,
+        client.id,
         serve::error_event("op needs an \"instance\"", id, "parse").dump());
     return false;
   }
   if (instance->is_string()) {
-    std::lock_guard<std::mutex> lock(mutex_);
     const auto found = names_.find(instance->as_string());
     if (found == names_.end()) {
       transport_.send(
-          client->id,
+          client.id,
           serve::unknown_instance_event(instance->as_string(), id).dump());
       return false;
     }
@@ -366,15 +346,14 @@ bool Replica_router::resolve_instance(const std::shared_ptr<Client>& client,
         document.instance,
         document.precedence ? &*document.precedence : nullptr);
   } catch (const std::exception& error) {
-    transport_.send(client->id,
+    transport_.send(client.id,
                     serve::error_event(error.what(), id, "parse").dump());
     return false;
   }
   return true;
 }
 
-void Replica_router::route_optimize(const std::shared_ptr<Client>& client,
-                                    const io::Json& doc,
+void Replica_router::route_optimize(Client& client, const io::Json& doc,
                                     const std::string& id,
                                     std::string_view line) {
   std::uint64_t print = 0;
@@ -382,9 +361,8 @@ void Replica_router::route_optimize(const std::shared_ptr<Client>& client,
   const std::vector<std::size_t> owners =
       map_.replicas(print, options_.replicas);
 
-  std::lock_guard<std::mutex> lock(mutex_);
   for (std::size_t index = 0; index < owners.size(); ++index) {
-    if (!send_locked(client, owners[index], line)) continue;
+    if (!send_to(client, owners[index], line)) continue;
     if (!id.empty()) {
       Route route;
       route.fingerprint = print;
@@ -392,7 +370,7 @@ void Replica_router::route_optimize(const std::shared_ptr<Client>& client,
       route.owner_index = index;
       route.hops = index > 0 ? 1 : 0;
       route.line = std::string(line);
-      client->routes[id] = std::move(route);
+      client.routes[id] = std::move(route);
     }
     if (index > 0) {
       replica_failovers_.fetch_add(1, std::memory_order_relaxed);
@@ -402,188 +380,143 @@ void Replica_router::route_optimize(const std::shared_ptr<Client>& client,
   shed(client, id, owners.front());
 }
 
-void Replica_router::handle_cancel(const std::shared_ptr<Client>& client,
-                                   const std::string& id,
+void Replica_router::handle_cancel(Client& client, const std::string& id,
                                    std::string_view line) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto route = client->routes.find(id);
-  if (route == client->routes.end()) {
-    transport_.send(client->id, serve::cancel_event(id, false).dump());
+  const auto route = client.routes.find(id);
+  if (route == client.routes.end()) {
+    transport_.send(client.id, serve::cancel_event(id, false).dump());
     return;
   }
   const std::size_t shard = route->second.owners[route->second.owner_index];
-  client->routes.erase(route);
-  if (!send_locked(client, shard, line)) shed(client, id, shard);
+  client.routes.erase(route);
+  if (!send_to(client, shard, line)) shed(client, id, shard);
 }
 
-void Replica_router::fan_out(const std::shared_ptr<Client>& client,
+void Replica_router::fan_out(Client& client,
                              const std::vector<std::size_t>& owners,
                              std::string_view line, const std::string& id) {
-  std::lock_guard<std::mutex> lock(mutex_);
   // The first reachable owner carries the client-visible ack; every
   // other owner gets the line best-effort over its replication feed.
   std::size_t acked = owners.size();
   for (std::size_t index = 0; index < owners.size(); ++index) {
-    if (send_locked(client, owners[index], line)) {
+    if (send_to(client, owners[index], line)) {
       acked = index;
       break;
     }
   }
-  for (std::size_t index = 0; index < owners.size(); ++index) {
-    if (index == acked) continue;
-    if (!feed_send_locked(owners[index], line)) {
-      replica_lag_.fetch_add(1, std::memory_order_relaxed);
+  if (owners.size() > 1) {
+    std::lock_guard<std::mutex> lock(feeds_mutex_);
+    for (std::size_t index = 0; index < owners.size(); ++index) {
+      if (index == acked) continue;
+      if (!feed_send_locked(owners[index], line)) {
+        replica_lag_.fetch_add(1, std::memory_order_relaxed);
+      }
     }
   }
   if (acked == owners.size()) shed(client, id, owners.front());
 }
 
-void Replica_router::handle_stats(const std::shared_ptr<Client>& client,
-                                  std::string_view line) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::shared_ptr<Link>> members;
+void Replica_router::handle_stats(Client& client, std::string_view line) {
+  std::vector<serve::Connection_id> members;
   for (std::size_t shard = 0; shard < options_.backends.size(); ++shard) {
-    if (auto link = link_locked(client, shard)) members.push_back(link);
+    if (const serve::Connection_id link = link_for(client, shard)) {
+      members.push_back(link);
+    }
   }
   if (members.empty()) {
-    transport_.send(client->id,
+    transport_.send(client.id,
                     serve::error_event("all backend shards are unreachable",
                                        {}, "overloaded")
                         .dump());
     return;
   }
-  if (client->merge_pending > 0) {
+  if (client.merge_pending > 0) {
     transport_.send(
-        client->id,
+        client.id,
         serve::error_event("a stats merge is already in flight; retry", {})
             .dump());
     return;
   }
-  client->merge_pending = members.size();
-  client->merge_events.clear();
-  for (const auto& member : members) member->merge_member = true;
-  for (const auto& member : members) {
-    if (!send_backend_line(member->fd, line)) {
-      // The reader's EOF path retires this link's share of the merge.
-      ::shutdown(member->fd, SHUT_RDWR);
-    }
+  client.merge_pending = members.size();
+  client.merge_events.clear();
+  for (const serve::Connection_id member : members) {
+    links_.at(member).merge_member = true;
+    transport_.send(member, line);
   }
 }
 
-bool Replica_router::handle_shutdown(const std::shared_ptr<Client>& client,
-                                     std::string_view line) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    client->closing = true;
-    for (std::size_t shard = 0; shard < options_.backends.size(); ++shard) {
-      const auto link = link_locked(client, shard);
-      if (link == nullptr) continue;
-      if (!send_backend_line(link->fd, line)) {
-        ::shutdown(link->fd, SHUT_RDWR);
-      }
-    }
+void Replica_router::handle_shutdown(Client& client, std::string_view line) {
+  client.closing = true;
+  // One share per backend reached, folded as its pair arrives, plus this
+  // call's own, released below: with no backend reachable the merged
+  // pair goes out at once.
+  client.shutdown_pending = 1;
+  for (std::size_t shard = 0; shard < options_.backends.size(); ++shard) {
+    const serve::Connection_id link = link_for(client, shard);
+    if (link == 0) continue;
+    links_.at(link).shutdown_member = true;
+    ++client.shutdown_pending;
+    transport_.send(link, line);
   }
-  // Join this client's readers so the per-backend shutdown events are
-  // folded before the merged pair goes out.
-  std::vector<std::shared_ptr<Link>> doomed;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& slot : client->links) {
-      if (slot == nullptr) continue;
-      slot->retired.store(true, std::memory_order_release);
-      ::shutdown(slot->fd, SHUT_RDWR);
-      doomed.push_back(std::move(slot));
-    }
-  }
-  for (const auto& link : doomed) {
-    if (link->reader.joinable()) link->reader.join();
-    ::close(link->fd);
-  }
+  shutdown_answered(client);
+}
 
-  double outstanding = 0;
-  double completed = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    outstanding = client->shutdown_outstanding;
-    completed = client->shutdown_completed;
-  }
+void Replica_router::shutdown_answered(Client& client) {
+  if (--client.shutdown_pending > 0) return;
   io::Json down;
   down.set("event", "shutting-down");
-  down.set("outstanding", outstanding);
-  transport_.send(client->id, down.dump());
+  down.set("outstanding", client.shutdown_outstanding);
+  transport_.send(client.id, down.dump());
   io::Json done;
   done.set("event", "shutdown-complete");
-  done.set("completed", completed);
-  transport_.send(client->id, done.dump());
-
+  done.set("completed", client.shutdown_completed);
+  transport_.send(client.id, done.dump());
   shutdown_requested_ = true;
   transport_.stop();
-  return false;
 }
 
-std::shared_ptr<Replica_router::Link> Replica_router::link_locked(
-    const std::shared_ptr<Client>& client, std::size_t shard) {
-  auto& slot = client->links[shard];
-  if (slot != nullptr && !slot->down.load(std::memory_order_acquire)) {
-    return slot;
-  }
-  if (slot != nullptr) park_locked(std::move(slot));
-  if (!health_.alive(shard)) return nullptr;
+serve::Connection_id Replica_router::link_for(Client& client,
+                                              std::size_t shard) {
+  serve::Connection_id& slot = client.links[shard];
+  if (slot != 0) return slot;
+  if (!health_.alive(shard)) return 0;
   const int fd = dial_backend(options_.backends[shard]);
   if (fd < 0) {
     health_.mark_dead(shard);
-    return nullptr;
+    return 0;
   }
-  auto link = std::make_shared<Link>();
-  link->shard = shard;
-  link->fd = fd;
-  link->client = client;
-  link->reader = std::thread([this, link] { reader_loop(link); });
-  slot = link;
-  return link;
+  slot = transport_.adopt(fd, client.id);
+  links_.try_emplace(slot, shard, client);
+  return slot;
 }
 
-bool Replica_router::send_locked(const std::shared_ptr<Client>& client,
-                                 std::size_t shard, std::string_view line) {
-  const auto link = link_locked(client, shard);
-  if (link == nullptr) return false;
-  if (!send_backend_line(link->fd, line)) {
-    health_.mark_dead(shard);
-    ::shutdown(link->fd, SHUT_RDWR);
-    return false;
-  }
-  return true;
+bool Replica_router::send_to(Client& client, std::size_t shard,
+                             std::string_view line) {
+  const serve::Connection_id link = link_for(client, shard);
+  return link != 0 && transport_.send(link, line);
 }
 
 bool Replica_router::feed_send_locked(std::size_t shard,
                                       std::string_view line) {
-  auto& slot = feeds_[shard];
-  if (slot != nullptr && slot->down.load(std::memory_order_acquire)) {
-    park_locked(std::move(slot));
-  }
-  if (slot == nullptr) {
+  serve::Connection_id& slot = feeds_[shard];
+  if (slot == 0) {
     if (!health_.alive(shard)) return false;
     const int fd = dial_backend(options_.backends[shard]);
     if (fd < 0) {
       health_.mark_dead(shard);
       return false;
     }
-    auto link = std::make_shared<Link>();
-    link->shard = shard;
-    link->fd = fd;
-    link->reader = std::thread([this, link] { reader_loop(link); });
-    slot = link;
+    slot = transport_.adopt(fd, /*owner=*/0);
   }
-  if (!send_backend_line(slot->fd, line)) {
-    health_.mark_dead(shard);
-    ::shutdown(slot->fd, SHUT_RDWR);
-    return false;
-  }
-  return true;
+  if (transport_.send(slot, line)) return true;
+  // The feed dropped and its on_close has not run yet.
+  slot = 0;
+  health_.mark_dead(shard);
+  return false;
 }
 
-bool Replica_router::failover_locked(const std::shared_ptr<Client>& client,
-                                     Route& route, std::size_t avoiding) {
+bool Replica_router::failover(Client& client, Route& route,
+                              std::size_t avoiding) {
   if (route.hops >= route.owners.size()) return false;
   const std::size_t count = route.owners.size();
   for (std::size_t step = 1; step <= count; ++step) {
@@ -591,7 +524,7 @@ bool Replica_router::failover_locked(const std::shared_ptr<Client>& client,
     const std::size_t shard = route.owners[index];
     if (shard == avoiding) continue;
     if (!health_.alive(shard)) continue;
-    if (!send_locked(client, shard, route.line)) continue;
+    if (!send_to(client, shard, route.line)) continue;
     route.owner_index = index;
     ++route.hops;
     replica_failovers_.fetch_add(1, std::memory_order_relaxed);
@@ -600,10 +533,10 @@ bool Replica_router::failover_locked(const std::shared_ptr<Client>& client,
   return false;
 }
 
-void Replica_router::shed(const std::shared_ptr<Client>& client,
-                          const std::string& id, std::size_t shard) {
+void Replica_router::shed(Client& client, const std::string& id,
+                          std::size_t shard) {
   transport_.send(
-      client->id,
+      client.id,
       serve::error_event("backend shard " + std::to_string(shard) + " (" +
                              options_.backends[shard] +
                              ") and its replicas are unavailable; retry later",
@@ -611,51 +544,62 @@ void Replica_router::shed(const std::shared_ptr<Client>& client,
           .dump());
 }
 
-void Replica_router::reader_loop(std::shared_ptr<Link> link) {
-  std::string buffer;
-  char chunk[64 * 1024];
-  for (;;) {
-    const ssize_t n = ::read(link->fd, chunk, sizeof chunk);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;
-    }
-    if (link->client == nullptr) continue;  // replication feed: swallow
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (;;) {
-      const auto newline = buffer.find('\n', start);
-      if (newline == std::string::npos) break;
-      std::string_view line(buffer.data() + start, newline - start);
-      start = newline + 1;
-      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-      handle_backend_line(link, line);
-    }
-    buffer.erase(0, start);
-  }
-  link_down(link);
-}
-
-void Replica_router::handle_backend_line(const std::shared_ptr<Link>& link,
+bool Replica_router::handle_backend_line(serve::Connection_id id, Link& link,
                                          std::string_view line) {
-  if (intercept_event(link, line)) return;
-  const std::string finished = result_event_id(line);
-  if (!finished.empty()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    link->client->routes.erase(finished);
+  if (link.shutdown_member && starts_with(line, "{\"event\":\"shut")) {
+    return fold_shutdown(id, link, line);
   }
-  transport_.send(link->client->id, line);
+  if (intercept_event(id, link, line)) return true;
+  Client& client = *link.client;
+  if (const std::string admitted = event_id(line, k_admitted_prefix);
+      !admitted.empty()) {
+    const auto route = client.routes.find(admitted);
+    if (route != client.routes.end()) {
+      // A failover re-admits the request on the next owner; the client
+      // already saw it admitted once.
+      if (route->second.admitted) return true;
+      route->second.admitted = true;
+    }
+  } else if (const std::string finished = event_id(line, k_result_prefix);
+             !finished.empty()) {
+    client.routes.erase(finished);
+  }
+  transport_.send(client.id, line);
+  return true;
 }
 
-bool Replica_router::intercept_event(const std::shared_ptr<Link>& link,
+bool Replica_router::fold_shutdown(serve::Connection_id id, Link& link,
+                                   std::string_view line) {
+  io::Json event;
+  try {
+    event = io::Json::parse(line);
+  } catch (const std::exception&) {
+    return true;  // unparseable: nothing to fold
+  }
+  const io::Json* tag = event.find("event");
+  const bool complete = tag != nullptr && tag->is_string() &&
+                        tag->as_string() == "shutdown-complete";
+  const char* field = complete ? "completed" : "outstanding";
+  Client& client = *link.client;
+  if (const io::Json* value = event.find(field);
+      value != nullptr && value->is_number()) {
+    (complete ? client.shutdown_completed : client.shutdown_outstanding) +=
+        value->as_number();
+  }
+  if (!complete) return true;
+  // The backend answered and is going away: retire the link so its
+  // close does not count as a death.
+  retire(id);
+  shutdown_answered(client);
+  return false;
+}
+
+bool Replica_router::intercept_event(serve::Connection_id id, Link& link,
                                      std::string_view line) {
-  const std::shared_ptr<Client>& client = link->client;
   const bool error_like = starts_with(line, "{\"event\":\"error\"");
   const bool registered_like = starts_with(line, "{\"event\":\"registered\"");
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!link->merge_member && !client->closing && !error_like &&
-      !(registered_like && !link->repairs.empty())) {
+  if (!link.merge_member && !error_like &&
+      !(registered_like && !link.repairs.empty())) {
     return false;
   }
 
@@ -668,50 +612,31 @@ bool Replica_router::intercept_event(const std::shared_ptr<Link>& link,
   const io::Json* tag = event.find("event");
   const std::string kind =
       tag != nullptr && tag->is_string() ? tag->as_string() : "";
+  Client& client = *link.client;
 
-  if (link->merge_member && kind == "stats") {
-    link->merge_member = false;
-    client->merge_events.push_back(std::move(event));
-    if (client->merge_events.size() >= client->merge_pending) {
-      finish_merge_locked(*client);
+  if (link.merge_member && kind == "stats") {
+    link.merge_member = false;
+    client.merge_events.push_back(std::move(event));
+    if (client.merge_events.size() >= client.merge_pending) {
+      finish_merge(client);
     }
     return true;
   }
 
-  if (client->closing &&
-      (kind == "shutting-down" || kind == "shutdown-complete")) {
-    const char* field =
-        kind == "shutting-down" ? "outstanding" : "completed";
-    double count = 0;
-    if (const io::Json* value = event.find(field);
-        value != nullptr && value->is_number()) {
-      count = value->as_number();
-    }
-    (kind == "shutting-down" ? client->shutdown_outstanding
-                             : client->shutdown_completed) += count;
-    return true;
-  }
-
-  if (kind == "registered" && !link->repairs.empty()) {
+  if (kind == "registered" && !link.repairs.empty()) {
     // Possibly the ack of a journal replay this router sent itself; the
     // client never asked, so it must not see it.
     const io::Json* print_field = event.find("fingerprint");
     std::uint64_t print = 0;
     if (print_field != nullptr && print_field->is_string() &&
         store::parse_hex64(print_field->as_string(), print)) {
-      const auto repair = link->repairs.find(print);
-      if (repair != link->repairs.end()) {
+      const auto repair = link.repairs.find(print);
+      if (repair != link.repairs.end()) {
         repairs_.fetch_add(1, std::memory_order_relaxed);
         for (const std::string& queued : repair->second) {
-          if (!send_backend_line(link->fd, queued)) {
-            // Link died mid-repair; link_down will fail the queued ops
-            // over via their routes.
-            health_.mark_dead(link->shard);
-            ::shutdown(link->fd, SHUT_RDWR);
-            break;
-          }
+          transport_.send(id, queued);
         }
-        link->repairs.erase(repair);
+        link.repairs.erase(repair);
         return true;
       }
     }
@@ -724,13 +649,13 @@ bool Replica_router::intercept_event(const std::shared_ptr<Link>& link,
     const std::string code = code_field != nullptr && code_field->is_string()
                                  ? code_field->as_string()
                                  : "";
-    const std::string id = id_field != nullptr && id_field->is_string()
-                               ? id_field->as_string()
-                               : "";
-    if (id.empty()) return false;
-    const auto found = client->routes.find(id);
-    if (found == client->routes.end() ||
-        found->second.owners[found->second.owner_index] != link->shard) {
+    const std::string request = id_field != nullptr && id_field->is_string()
+                                    ? id_field->as_string()
+                                    : "";
+    if (request.empty()) return false;
+    const auto found = client.routes.find(request);
+    if (found == client.routes.end() ||
+        found->second.owners[found->second.owner_index] != link.shard) {
       return false;
     }
     Route& route = found->second;
@@ -738,8 +663,8 @@ bool Replica_router::intercept_event(const std::shared_ptr<Link>& link,
     if (code == "overloaded") {
       // The owning backend shed the request; another replica may have
       // room (and the same warm cache) — move it there silently.
-      if (failover_locked(client, route, link->shard)) return true;
-      client->routes.erase(found);
+      if (failover(client, route, link.shard)) return true;
+      client.routes.erase(found);
       return false;  // no replica left: the client sees the shed
     }
 
@@ -750,14 +675,11 @@ bool Replica_router::intercept_event(const std::shared_ptr<Link>& link,
       // backend observes register-then-optimize in order.
       const std::string register_line = journal_.line_for(route.fingerprint);
       if (register_line.empty()) {
-        client->routes.erase(found);
+        client.routes.erase(found);
         return false;  // nothing journaled: the client sees the error
       }
-      link->repairs[route.fingerprint].push_back(route.line);
-      if (!send_backend_line(link->fd, register_line)) {
-        health_.mark_dead(link->shard);
-        ::shutdown(link->fd, SHUT_RDWR);
-      }
+      link.repairs[route.fingerprint].push_back(route.line);
+      transport_.send(id, register_line);
       return true;
     }
     return false;
@@ -765,66 +687,62 @@ bool Replica_router::intercept_event(const std::shared_ptr<Link>& link,
   return false;
 }
 
-void Replica_router::link_down(const std::shared_ptr<Link>& link) {
-  if (link->down.exchange(true, std::memory_order_acq_rel)) return;
-  const std::shared_ptr<Client>& client = link->client;
-  const bool retired = link->retired.load(std::memory_order_acquire);
-  if (!retired) health_.mark_dead(link->shard);
-  if (client == nullptr) return;  // replication feed: nothing routed here
+void Replica_router::link_down(serve::Connection_id id) {
+  const auto found = links_.find(id);
+  const Link link = std::move(found->second);
+  links_.erase(found);
+  Client& client = *link.client;
+  client.links[link.shard] = 0;
+  health_.mark_dead(link.shard);
 
   std::vector<std::string> abandoned;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (client->links[link->shard] == link) {
-      // Do not join from our own reader thread: park for the loop
-      // thread's reaper.
-      park_locked(std::move(client->links[link->shard]));
-    }
-    link->repairs.clear();
-    if (!retired) {
-      // Every id still routed at this shard fails over — this is the
-      // mid-flight path that keeps a kill -9 invisible to clients.
-      for (auto route = client->routes.begin();
-           route != client->routes.end();) {
-        if (route->second.owners[route->second.owner_index] != link->shard) {
-          ++route;
-          continue;
-        }
-        if (failover_locked(client, route->second, link->shard)) {
-          ++route;
-        } else {
-          abandoned.push_back(route->first);
-          route = client->routes.erase(route);
-        }
+  if (!client.closing) {
+    // Every id still routed at this shard fails over — this is the
+    // mid-flight path that keeps a kill -9 invisible to clients.
+    for (auto route = client.routes.begin(); route != client.routes.end();) {
+      if (route->second.owners[route->second.owner_index] != link.shard) {
+        ++route;
+        continue;
       }
-    }
-    if (link->merge_member) {
-      link->merge_member = false;
-      if (client->merge_pending > 0) --client->merge_pending;
-      if (client->merge_pending == 0) {
-        client->merge_events.clear();
-        transport_.send(client->id,
-                        serve::error_event(
-                            "all backend shards dropped during stats merge",
-                            {}, "overloaded")
-                            .dump());
-      } else if (client->merge_events.size() >= client->merge_pending) {
-        finish_merge_locked(*client);
+      if (failover(client, route->second, link.shard)) {
+        ++route;
+      } else {
+        abandoned.push_back(route->first);
+        route = client.routes.erase(route);
       }
     }
   }
-  for (const std::string& id : abandoned) {
+  if (link.merge_member) {
+    if (client.merge_pending > 0) --client.merge_pending;
+    if (client.merge_pending == 0) {
+      client.merge_events.clear();
+      transport_.send(client.id,
+                      serve::error_event(
+                          "all backend shards dropped during stats merge",
+                          {}, "overloaded")
+                          .dump());
+    } else if (client.merge_events.size() >= client.merge_pending) {
+      finish_merge(client);
+    }
+  }
+  for (const std::string& abandoned_id : abandoned) {
     transport_.send(
-        client->id,
-        serve::error_event("backend shard " + std::to_string(link->shard) +
-                               " (" + options_.backends[link->shard] +
+        client.id,
+        serve::error_event("backend shard " + std::to_string(link.shard) +
+                               " (" + options_.backends[link.shard] +
                                ") dropped and no replica is live; retry later",
-                           id, "overloaded")
+                           abandoned_id, "overloaded")
             .dump());
   }
+  if (link.shutdown_member) shutdown_answered(client);
 }
 
-void Replica_router::finish_merge_locked(Client& client) {
+void Replica_router::retire(serve::Connection_id id) {
+  links_.erase(id);
+  transport_.close(id);
+}
+
+void Replica_router::finish_merge(Client& client) {
   io::Json merged =
       merge_stats_events(client.merge_events, options_.backends.size());
   merged.set("replicas", static_cast<double>(options_.replicas));
@@ -848,7 +766,7 @@ void Replica_router::heal_shard(std::size_t shard) {
   // over its replication feed, ahead of any routed traffic. Runs on the
   // probe thread.
   const std::vector<Journal_entry> entries = journal_.entries();
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(feeds_mutex_);
   for (const Journal_entry& entry : entries) {
     const std::vector<std::size_t> owners =
         map_.replicas(entry.fingerprint, options_.replicas);
@@ -862,53 +780,6 @@ void Replica_router::heal_shard(std::size_t shard) {
       break;  // the shard flapped again; the next dead->live retries
     }
   }
-}
-
-void Replica_router::park_locked(std::shared_ptr<Link> link) {
-  zombies_.push_back(std::move(link));
-}
-
-void Replica_router::reap_zombies() {
-  std::vector<std::shared_ptr<Link>> dead;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    dead.swap(zombies_);
-  }
-  for (const auto& link : dead) {
-    ::shutdown(link->fd, SHUT_RDWR);
-    if (link->reader.joinable()) link->reader.join();
-    ::close(link->fd);
-  }
-}
-
-void Replica_router::teardown_all() {
-  std::vector<std::shared_ptr<Link>> doomed;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& [id, client] : clients_) {
-      for (auto& slot : client->links) {
-        if (slot == nullptr) continue;
-        slot->retired.store(true, std::memory_order_release);
-        ::shutdown(slot->fd, SHUT_RDWR);
-        doomed.push_back(std::move(slot));
-      }
-    }
-    for (auto& slot : feeds_) {
-      if (slot == nullptr) continue;
-      slot->retired.store(true, std::memory_order_release);
-      ::shutdown(slot->fd, SHUT_RDWR);
-      doomed.push_back(std::move(slot));
-    }
-    doomed.insert(doomed.end(),
-                  std::make_move_iterator(zombies_.begin()),
-                  std::make_move_iterator(zombies_.end()));
-    zombies_.clear();
-  }
-  for (const auto& link : doomed) {
-    if (link->reader.joinable()) link->reader.join();
-    ::close(link->fd);
-  }
-  clients_.clear();
 }
 
 }  // namespace quest::cluster

@@ -12,7 +12,7 @@ namespace quest::core {
 using model::Plan;
 
 Bnb_optimizer::Bnb_optimizer(Bnb_options options)
-    : options_(options), store_(options.prefix_store_capacity) {}
+    : options_(options) {}
 
 std::string Bnb_optimizer::name() const {
   std::string name = "bnb";
@@ -30,7 +30,6 @@ opt::Result Bnb_optimizer::optimize(const opt::Request& request) {
   opt::validate_request(request);
   QUEST_EXPECTS(options_.suboptimality >= 0.0,
                 "suboptimality must be non-negative");
-  store_.clear();
   const auto& instance = *request.instance;
   const std::size_t n = instance.size();
 
@@ -57,12 +56,11 @@ opt::Result Bnb_optimizer::optimize(const opt::Request& request) {
   Driver_config config;
   config.relax = 1.0 + options_.suboptimality;
   config.enable_backjump = options_.enable_backjump;
-  config.record_pruned_prefixes = options_.record_pruned_prefixes;
 
   Local_incumbent incumbent(control);
   Search_driver<Local_incumbent, opt::Search_control> driver(
       instance, request.model, request.precedence, config, bounds, incumbent,
-      control, stats, &store_);
+      control, stats);
 
   // Request-supplied warm start (validated by validate_request): a
   // feasible plan's cost is an upper bound on the optimum, so priming

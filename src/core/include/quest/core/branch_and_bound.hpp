@@ -19,16 +19,16 @@
 //    candidate value.
 //  * Lemma 3 (back-jump): after a closure — or a completed plan — the
 //    prefix up to and *including* the bottleneck service joins the pruned
-//    store V, and the search unwinds to just *before* the bottleneck
+//    set V, and the search unwinds to just *before* the bottleneck
 //    service: because successors are expanded cheapest-first, every plan
-//    extending a prefix in V costs at least rho.
+//    extending a prefix in V costs at least rho. V is never stored; the
+//    unwind itself is what keeps its prefixes from being revisited.
 
 #pragma once
 
 #include <cstdint>
 
 #include "quest/core/measures.hpp"
-#include "quest/core/prefix_store.hpp"
 #include "quest/opt/optimizer.hpp"
 
 namespace quest::core {
@@ -56,10 +56,6 @@ struct Bnb_options {
   /// optimum. 0 (default) searches exactly; results with a non-zero value
   /// report proven_optimal = false.
   double suboptimality = 0.0;
-  /// Maintain the pruned-prefix store V explicitly (observability only;
-  /// the back-jump already guarantees pruned prefixes are not revisited).
-  bool record_pruned_prefixes = false;
-  std::size_t prefix_store_capacity = 4096;
 };
 
 /// The paper's optimizer. Reusable across optimize() calls; not
@@ -73,13 +69,8 @@ class Bnb_optimizer final : public opt::Optimizer {
 
   const Bnb_options& options() const noexcept { return options_; }
 
-  /// The pruned-prefix store V populated by the most recent optimize()
-  /// call (empty unless record_pruned_prefixes was set).
-  const Prefix_store& pruned_prefixes() const noexcept { return store_; }
-
  private:
   Bnb_options options_;
-  Prefix_store store_;
 };
 
 }  // namespace quest::core

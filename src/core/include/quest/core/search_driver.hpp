@@ -30,7 +30,6 @@
 
 #include "quest/common/error.hpp"
 #include "quest/core/bounds.hpp"
-#include "quest/core/prefix_store.hpp"
 #include "quest/core/search_kernel.hpp"
 #include "quest/opt/search_control.hpp"
 
@@ -43,8 +42,6 @@ struct Driver_config {
   double relax = 1.0;
   /// Lemma 3 back-jump past the bottleneck service.
   bool enable_backjump = true;
-  /// Record back-jumped prefixes into the Prefix_store (observability).
-  bool record_pruned_prefixes = false;
 };
 
 /// Sequential incumbent policy: plain fields, improvements visible to the
@@ -85,7 +82,7 @@ class Search_driver {
                 const constraints::Precedence_graph* precedence,
                 const Driver_config& config, const Bound_provider& bounds,
                 Incumbent& incumbent, Control& control,
-                opt::Search_stats& stats, Prefix_store* store = nullptr)
+                opt::Search_stats& stats)
       : instance_(instance),
         model_(model),
         precedence_(precedence),
@@ -94,7 +91,6 @@ class Search_driver {
         incumbent_(incumbent),
         control_(control),
         stats_(stats),
-        store_(store),
         eval_(instance, model),
         placed_(instance.size()) {}
 
@@ -268,17 +264,14 @@ class Search_driver {
     return k - 1;
   }
 
-  /// Implements the Lemma-3 unwind for the current plan: records the
-  /// prefix up to and including the bottleneck service in V and returns
-  /// the bottleneck's position (the size at which the search resumes).
+  /// Implements the Lemma-3 unwind for the current plan: the prefix up to
+  /// and including the bottleneck service joins V (implicitly — the
+  /// unwind never revisits it) and the bottleneck's position is returned
+  /// (the size at which the search resumes).
   std::size_t backjump_target(std::size_t k) {
     const std::size_t bottleneck = eval_.bottleneck_position();
     QUEST_ASSERT(bottleneck + 2 <= k, "bottleneck must have a successor");
     if (!config_.enable_backjump) return k - 1;
-    if (config_.record_pruned_prefixes && store_ != nullptr) {
-      const auto& order = eval_.order();
-      store_->record(std::span(order.data(), bottleneck + 1));
-    }
     ++stats_.lemma3_backjumps;
     return bottleneck;
   }
@@ -291,7 +284,6 @@ class Search_driver {
   Incumbent& incumbent_;
   Control& control_;
   opt::Search_stats& stats_;
-  Prefix_store* store_;
 
   model::Partial_plan_evaluator eval_;
   Placed_set placed_;

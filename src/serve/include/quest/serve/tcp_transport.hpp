@@ -19,14 +19,25 @@
 //    cannot pump new requests into the server while its results pile
 //    up — memory per connection stays bounded by what is already in
 //    flight, and the admission queue sheds the rest.
+//  * adopt() serves a socket someone else connected (the cluster
+//    router's backend links) on the same loop: its bytes reach on_data
+//    and its end on_close, with no on_open and no place in the
+//    connection counters or `max_connections`. A link is never
+//    read-paused — pausing the reads of a link whose writes are stuck
+//    would deadlock it with its peer. Instead, while it holds more than
+//    `write_buffer_cap` unsent bytes, its *owner* connection's reads are
+//    paused, so a stalled peer throttles only the client feeding it.
 //  * Accepting past `max_connections` writes a single typed
 //    "overloaded" error line and closes — refusal is explicit, not a
 //    silent RST.
 //  * stop() finishes with a bounded flush pass so events emitted just
-//    before shutdown ("shutdown-complete") still reach their clients.
+//    before shutdown ("shutdown-complete") still reach their clients;
+//    it waits for accepted connections only, not adopted links. At
+//    teardown accepted connections get their on_close before adopted
+//    links do.
 //
 // Thread contract: identical to Transport (run()/handlers on the loop
-// thread, send()/close()/stop()/stats() from anywhere).
+// thread, send()/close()/stop()/stats()/adopt() from anywhere).
 
 #pragma once
 
@@ -62,15 +73,17 @@ struct Tcp_options {
 };
 
 /// Loop-lifetime counters, for tests and the load harness. Monotonic
-/// except `connections` (currently open).
+/// except `connections` (currently open). Adopted links count only in
+/// the byte totals and `reads_paused`.
 struct Tcp_stats {
   std::uint64_t accepted = 0;
   std::uint64_t refused = 0;
   std::uint64_t closed = 0;
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
-  /// Times a connection's reads were paused by the write-buffer cap —
-  /// nonzero proves backpressure actually engaged.
+  /// Times a connection's reads were paused by a write buffer over the
+  /// cap, its own or an adopted link's — nonzero proves backpressure
+  /// actually engaged.
   std::uint64_t reads_paused = 0;
   std::size_t connections = 0;
   std::size_t max_connections_seen = 0;
@@ -93,6 +106,12 @@ class Tcp_transport final : public Transport {
   void stop() override;
   bool send(Connection_id connection, std::string_view line) override;
   void close(Connection_id connection) override;
+
+  /// Serves the connected socket `fd` on the loop and takes ownership of
+  /// it; returns its connection id for send()/close(). `owner` is the
+  /// connection whose reads pause while this link's backlog is over the
+  /// cap (0: none). See the file comment.
+  Connection_id adopt(int fd, Connection_id owner);
 
   Tcp_stats stats() const;
 

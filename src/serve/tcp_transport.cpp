@@ -130,12 +130,16 @@ struct Tcp_transport::Impl {
   struct Conn {
     Connection_id id = 0;
     int fd = -1;
+    /// Adopted links only: the connection their backlog pauses.
+    Connection_id owner = 0;
+    bool adopted = false;
     /// Pending outbound bytes; `out_offset` marks the flushed prefix
     /// (compacted periodically instead of erasing per write).
     std::string outbound;
     std::size_t out_offset = 0;
     bool want_write = false;  // loop-side: EPOLLOUT armed
-    bool paused = false;      // loop-side: reads off (backpressure)
+    bool over_cap = false;    // loop-side: backlog above the cap
+    int holds = 0;            // loop-side: backlogs pausing our reads
     bool closing = false;     // flush remaining bytes, then close
 
     std::size_t pending_bytes() const { return outbound.size() - out_offset; }
@@ -190,6 +194,7 @@ struct Tcp_transport::Impl {
 
   ~Impl() {
     for (auto& [fd, conn] : by_fd) ::close(fd);
+    for (const auto& conn : to_adopt) ::close(conn->fd);
     if (listen_fd >= 0) ::close(listen_fd);
     ::close(wake_read);
     ::close(wake_write);
@@ -225,6 +230,23 @@ struct Tcp_transport::Impl {
     }
     notify_loop();
     return true;
+  }
+
+  Connection_id adopt(int fd, Connection_id owner) {
+    set_nonblocking(fd);
+    auto conn = std::make_unique<Conn>();
+    conn->fd = fd;
+    conn->owner = owner;
+    conn->adopted = true;
+    Connection_id id = 0;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      id = conn->id = next_id++;
+      by_id.emplace(id, conn.get());
+      to_adopt.push_back(std::move(conn));
+    }
+    notify_loop();
+    return id;
   }
 
   void request_close(Connection_id id) {
@@ -325,7 +347,7 @@ struct Tcp_transport::Impl {
         {
           std::lock_guard<std::mutex> lock(mutex);
           for (const auto& [fd, conn] : by_fd) {
-            if (conn->pending_bytes() > 0) pending = true;
+            if (!conn->adopted && conn->pending_bytes() > 0) pending = true;
           }
         }
         if (!pending || std::chrono::steady_clock::now() >= flush_deadline) {
@@ -336,8 +358,19 @@ struct Tcp_transport::Impl {
 
     // Teardown on the loop thread: every surviving connection gets its
     // on_close so the session layer can release per-connection state.
-    while (!by_fd.empty()) {
-      close_conn(Poller_ref{}, by_fd.begin()->second.get(), handlers);
+    // Accepted connections go first, so an owner hears of its own end
+    // before its adopted links'.
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      for (auto& conn : to_adopt) by_fd.emplace(conn->fd, std::move(conn));
+      to_adopt.clear();
+    }
+    for (const bool adopted : {false, true}) {
+      std::vector<Conn*> doomed;
+      for (const auto& [fd, conn] : by_fd) {
+        if (conn->adopted == adopted) doomed.push_back(conn.get());
+      }
+      for (Conn* conn : doomed) close_conn(Poller_ref{}, conn, handlers);
     }
   }
 
@@ -348,7 +381,7 @@ struct Tcp_transport::Impl {
       std::size_t open_now = 0;
       {
         std::lock_guard<std::mutex> lock(mutex);
-        open_now = by_id.size();
+        open_now = counters.connections;
       }
       if (open_now >= options.max_connections) {
         // Explicit refusal: one typed error line, then close. The
@@ -379,8 +412,9 @@ struct Tcp_transport::Impl {
         raw->id = next_id++;
         by_id.emplace(raw->id, raw);
         ++counters.accepted;
+        ++counters.connections;
         counters.max_connections_seen =
-            std::max(counters.max_connections_seen, by_id.size());
+            std::max(counters.max_connections_seen, counters.connections);
       }
       by_fd.emplace(fd, std::move(conn));
       poller.add(fd, /*read=*/true, /*write=*/false);
@@ -390,7 +424,7 @@ struct Tcp_transport::Impl {
 
   bool read_conn(Poller& poller, Conn* conn, std::vector<char>& scratch,
                  const Handlers& handlers) {
-    if (conn->paused || conn->closing) return true;
+    if (conn->holds > 0 || conn->closing) return true;
     const ssize_t count = ::read(conn->fd, scratch.data(), scratch.size());
     if (count == 0) {
       close_conn(poller, conn, handlers);
@@ -455,8 +489,9 @@ struct Tcp_transport::Impl {
   }
 
   /// Applies backpressure state and poller interest from the current
-  /// buffer fill: pause reads above the cap, resume below half of it,
-  /// arm EPOLLOUT while anything is pending.
+  /// buffer fill: above the cap a connection holds reads paused until it
+  /// drains below half of it, and EPOLLOUT is armed while anything is
+  /// pending. An adopted link holds its owner's reads, never its own.
   template <typename PollerT>
   void update_interest(PollerT&& poller, Conn* conn) {
     std::size_t pending = 0;
@@ -464,22 +499,47 @@ struct Tcp_transport::Impl {
       std::lock_guard<std::mutex> lock(mutex);
       pending = conn->pending_bytes();
     }
-    const bool want_write = pending > 0;
-    bool paused = conn->paused;
-    if (!paused && pending > options.write_buffer_cap) {
-      paused = true;
-      std::lock_guard<std::mutex> lock(mutex);
-      ++counters.reads_paused;
-    } else if (paused && pending < options.write_buffer_cap / 2) {
-      paused = false;
+    bool over = conn->over_cap;
+    if (!over && pending > options.write_buffer_cap) {
+      over = true;
+    } else if (over && pending < options.write_buffer_cap / 2) {
+      over = false;
     }
-    if (want_write != conn->want_write || paused != conn->paused) {
-      conn->want_write = want_write;
-      conn->paused = paused;
-      poller.update(conn->fd,
-                    /*read=*/!paused && !conn->closing && !winding_down,
-                    want_write);
+    bool changed = (pending > 0) != conn->want_write;
+    conn->want_write = pending > 0;
+    if (over != conn->over_cap) {
+      conn->over_cap = over;
+      Conn* held = conn->adopted ? find_conn(conn->owner) : conn;
+      if (held != nullptr) {
+        hold(held, over);
+        if (held == conn) {
+          changed = true;
+        } else {
+          set_interest(poller, held);
+        }
+      }
     }
+    if (changed) set_interest(poller, conn);
+  }
+
+  void hold(Conn* conn, bool on) {
+    conn->holds += on ? 1 : -1;
+    if (!on) return;
+    std::lock_guard<std::mutex> lock(mutex);
+    ++counters.reads_paused;
+  }
+
+  template <typename PollerT>
+  void set_interest(PollerT&& poller, const Conn* conn) {
+    poller.update(conn->fd,
+                  /*read=*/conn->holds == 0 && !conn->closing && !winding_down,
+                  conn->want_write);
+  }
+
+  Conn* find_conn(Connection_id id) {
+    std::lock_guard<std::mutex> lock(mutex);
+    const auto entry = by_id.find(id);
+    return entry == by_id.end() ? nullptr : entry->second;
   }
 
   /// Flushes every connection marked dirty. Returns whether entries
@@ -487,22 +547,23 @@ struct Tcp_transport::Impl {
   /// the next wait must not block on them.
   bool process_dirty(Poller& poller, const Handlers& handlers) {
     std::vector<Connection_id> ids;
+    std::vector<std::unique_ptr<Conn>> adopted;
     {
       std::lock_guard<std::mutex> lock(mutex);
       ids.swap(dirty);
+      if (!to_adopt.empty()) adopted.swap(to_adopt);
+    }
+    // Adopted links join the poller before their queued sends flush.
+    for (auto& conn : adopted) {
+      poller.add(conn->fd, /*read=*/!winding_down, /*write=*/false);
+      by_fd.emplace(conn->fd, std::move(conn));
     }
     for (const Connection_id id : ids) {
-      Conn* conn = nullptr;
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        const auto entry = by_id.find(id);
-        if (entry == by_id.end()) continue;
-        conn = entry->second;
-      }
-      flush_conn(poller, conn, handlers);
+      Conn* conn = find_conn(id);
+      if (conn != nullptr) flush_conn(poller, conn, handlers);
     }
     std::lock_guard<std::mutex> lock(mutex);
-    return !dirty.empty();
+    return !dirty.empty() || !to_adopt.empty();
   }
 
   /// Poller stand-in for teardown, where the real poller is gone and
@@ -518,10 +579,19 @@ struct Tcp_transport::Impl {
     const int fd = conn->fd;
     poller.remove(fd);
     ::close(fd);
+    if (conn->adopted && conn->over_cap) {
+      if (Conn* owner = find_conn(conn->owner)) {
+        hold(owner, false);
+        set_interest(poller, owner);
+      }
+    }
     {
       std::lock_guard<std::mutex> lock(mutex);
       by_id.erase(id);
-      ++counters.closed;
+      if (!conn->adopted) {
+        ++counters.closed;
+        --counters.connections;
+      }
     }
     by_fd.erase(fd);  // destroys conn
     if (handlers.on_close) handlers.on_close(id);
@@ -540,6 +610,8 @@ struct Tcp_transport::Impl {
   std::mutex mutex;
   std::unordered_map<Connection_id, Conn*> by_id;
   std::vector<Connection_id> dirty;
+  /// Adopted links the loop has not yet put in its poller.
+  std::vector<std::unique_ptr<Conn>> to_adopt;
   Connection_id next_id = 1;
   Tcp_stats counters;
 
@@ -567,6 +639,10 @@ void Tcp_transport::run(const Handlers& handlers) { impl_->run(handlers); }
 
 void Tcp_transport::stop() { impl_->request_stop(); }
 
+Connection_id Tcp_transport::adopt(int fd, Connection_id owner) {
+  return impl_->adopt(fd, owner);
+}
+
 bool Tcp_transport::send(Connection_id connection, std::string_view line) {
   return impl_->send(connection, line);
 }
@@ -577,9 +653,7 @@ void Tcp_transport::close(Connection_id connection) {
 
 Tcp_stats Tcp_transport::stats() const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  Tcp_stats snapshot = impl_->counters;
-  snapshot.connections = impl_->by_id.size();
-  return snapshot;
+  return impl_->counters;
 }
 
 }  // namespace quest::serve

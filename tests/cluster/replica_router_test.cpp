@@ -12,7 +12,7 @@
 #include <chrono>
 
 #include "quest/common/error.hpp"
-#include "quest/serve/transport.hpp"
+#include "quest/serve/tcp_transport.hpp"
 
 namespace quest {
 namespace {
@@ -33,7 +33,7 @@ Replica_options three_backends() {
 }
 
 TEST(Replica_router_test, ValidatesItsOptions) {
-  serve::Stdio_transport transport;
+  serve::Tcp_transport transport(serve::Tcp_options{});
 
   Replica_options no_backends = three_backends();
   no_backends.backends.clear();
@@ -53,7 +53,7 @@ TEST(Replica_router_test, ValidatesItsOptions) {
 }
 
 TEST(Replica_router_test, ConstructsWithFullReplication) {
-  serve::Stdio_transport transport;
+  serve::Tcp_transport transport(serve::Tcp_options{});
   Replica_options options = three_backends();
   options.replicas = 3;  // R == K: every key everywhere
   Replica_router router(options, transport);
@@ -63,7 +63,7 @@ TEST(Replica_router_test, ConstructsWithFullReplication) {
 }
 
 TEST(Replica_router_test, CountersStartAtZero) {
-  serve::Stdio_transport transport;
+  serve::Tcp_transport transport(serve::Tcp_options{});
   Replica_router router(three_backends(), transport);
   EXPECT_EQ(router.replica_failovers(), 0u);
   EXPECT_EQ(router.repairs(), 0u);
@@ -73,7 +73,7 @@ TEST(Replica_router_test, CountersStartAtZero) {
 TEST(Replica_router_test, DefaultsToOneOwnerPerKey) {
   // The CLI default: --replicas 1 runs through this same router.
   EXPECT_EQ(Replica_options{}.replicas, 1u);
-  serve::Stdio_transport transport;
+  serve::Tcp_transport transport(serve::Tcp_options{});
   Replica_options options = three_backends();
   options.replicas = 1;
   Replica_router router(options, transport);

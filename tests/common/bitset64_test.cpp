@@ -93,7 +93,9 @@ TEST_P(Member_mask_sizes, BoundaryIdsSurviveSetAndReset) {
 INSTANTIATE_TEST_SUITE_P(Sizes, Member_mask_sizes,
                          ::testing::Values(1, 63, 64, 65, 128, 129),
                          [](const auto& info) {
-                           return "n" + std::to_string(info.param);
+                           std::string name = "n";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 }  // namespace

@@ -197,9 +197,10 @@ std::vector<Sweep_param> sweep_params() {
 INSTANTIATE_TEST_SUITE_P(Sweep, Bnb_matches_exhaustive,
                          ::testing::ValuesIn(sweep_params()),
                          [](const auto& param_info) {
-                           return "n" + std::to_string(param_info.param.n) +
-                                  "_seed" +
-                                  std::to_string(param_info.param.seed);
+                           return test::numbered(
+                               test::numbered("n", param_info.param.n) +
+                                   "_seed",
+                               param_info.param.seed);
                          });
 
 // ---- spot checks against the subset DP at sizes exhaustive cannot reach -

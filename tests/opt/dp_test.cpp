@@ -86,8 +86,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Param{2, 1}, Param{3, 2}, Param{4, 3}, Param{5, 4},
                       Param{6, 5}, Param{7, 6}, Param{8, 7}, Param{8, 8}),
     [](const auto& param_info) {
-      return "n" + std::to_string(param_info.param.n) + "_seed" +
-             std::to_string(param_info.param.seed);
+      return test::numbered(test::numbered("n", param_info.param.n) + "_seed",
+                            param_info.param.seed);
     });
 
 TEST(Dp_test, RejectsOversizedInstances) {

@@ -88,8 +88,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Param{1, 1}, Param{2, 2}, Param{3, 3}, Param{4, 4},
                       Param{5, 5}, Param{6, 6}, Param{7, 7}, Param{8, 8}),
     [](const auto& param_info) {
-      return "n" + std::to_string(param_info.param.n) + "_seed" +
-             std::to_string(param_info.param.seed);
+      return test::numbered(test::numbered("n", param_info.param.n) + "_seed",
+                            param_info.param.seed);
     });
 
 TEST(Frontier_test, MatchesDpAtLargerSizes) {

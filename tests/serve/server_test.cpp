@@ -156,14 +156,14 @@ TEST(Server_test, ConcurrentRequestsGetCorrectPerRequestResults) {
   std::vector<model::Instance> instances;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     instances.push_back(test::selective_instance(9, seed * 17));
-    server.handle(register_op("i" + std::to_string(seed), instances.back()));
+    server.handle(register_op(test::numbered("i", seed), instances.back()));
   }
   std::vector<std::string> ids;
   for (int request_index = 0; request_index < 8; ++request_index) {
-    const std::string id = "r" + std::to_string(request_index);
+    const std::string id = test::numbered("r", request_index);
     ids.push_back(id);
     server.handle(optimize_op(
-        id, "i" + std::to_string(1 + request_index % 4),
+        id, test::numbered("i", 1 + request_index % 4),
         request_index % 2 == 0 ? "bnb" : "dp"));
   }
   for (int request_index = 0; request_index < 8; ++request_index) {
@@ -206,8 +206,8 @@ TEST(Server_test, NoSinkCallLandsAfterCloseSessionReturns) {
   server.handle(b, register_op("prod", test::selective_instance(7, 11)));
   constexpr int k_requests = 60;
   for (int i = 0; i < k_requests; ++i) {
-    server.handle(a, optimize_op("a" + std::to_string(i), "prod", "bnb"));
-    server.handle(b, optimize_op("b" + std::to_string(i), "prod", "bnb"));
+    server.handle(a, optimize_op(test::numbered("a", i), "prod", "bnb"));
+    server.handle(b, optimize_op(test::numbered("b", i), "prod", "bnb"));
   }
   // Close a while the workers are still emitting to both sessions.
   Timer timer;
@@ -219,7 +219,7 @@ TEST(Server_test, NoSinkCallLandsAfterCloseSessionReturns) {
 
   // Session b is unaffected: every one of its results arrives.
   for (int i = 0; i < k_requests; ++i) {
-    EXPECT_TRUE(b_log.wait_result("b" + std::to_string(i)).is_object()) << i;
+    EXPECT_TRUE(b_log.wait_result(test::numbered("b", i)).is_object()) << i;
   }
   server.shutdown();
   EXPECT_EQ(late.load(), 0);
@@ -234,7 +234,7 @@ TEST(Server_test, SustainsEightConcurrentRequestsOnThePool) {
 
   for (int request_index = 0; request_index < 8; ++request_index) {
     Optimize_op op =
-        long_running_op("c" + std::to_string(request_index), "prod");
+        long_running_op(test::numbered("c", request_index), "prod");
     op.stream = true;
     server.handle(std::move(op));
   }
@@ -251,7 +251,7 @@ TEST(Server_test, SustainsEightConcurrentRequestsOnThePool) {
   // seed legitimately reports complete == false. Wait until every job
   // has streamed its first incumbent before cancelling.
   for (int request_index = 0; request_index < 8; ++request_index) {
-    const std::string id = "c" + std::to_string(request_index);
+    const std::string id = test::numbered("c", request_index);
     log.wait_for([&](const io::Json& event) {
       const io::Json* kind = event.find("event");
       const io::Json* event_id = event.find("id");
@@ -261,11 +261,11 @@ TEST(Server_test, SustainsEightConcurrentRequestsOnThePool) {
   }
 
   for (int request_index = 0; request_index < 8; ++request_index) {
-    server.handle(Cancel_op{"c" + std::to_string(request_index)});
+    server.handle(Cancel_op{test::numbered("c", request_index)});
   }
   for (int request_index = 0; request_index < 8; ++request_index) {
     const io::Json result =
-        log.wait_result("c" + std::to_string(request_index));
+        log.wait_result(test::numbered("c", request_index));
     ASSERT_TRUE(result.is_object());
     EXPECT_EQ(result.at("termination").as_string(), "cancelled");
     EXPECT_TRUE(result.at("complete").as_bool());  // best incumbent
@@ -637,7 +637,7 @@ TEST(Server_test, DrainShutdownFinishesAdmittedWork) {
 
   for (int request_index = 0; request_index < 3; ++request_index) {
     Optimize_op op =
-        optimize_op("d" + std::to_string(request_index), "prod", "greedy");
+        optimize_op(test::numbered("d", request_index), "prod", "greedy");
     op.cache = false;
     server.handle(std::move(op));
   }

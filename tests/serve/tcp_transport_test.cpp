@@ -35,129 +35,13 @@
 #include "quest/serve/server.hpp"
 #include "quest/serve/session.hpp"
 #include "support/helpers.hpp"
+#include "support/line_client.hpp"
 
 namespace quest {
 namespace {
 
 using namespace quest::serve;
-
-/// Blocking line-oriented test client over one loopback socket.
-class Client {
- public:
-  explicit Client(std::uint16_t port, int receive_buffer_bytes = 0) {
-    connect_to(port, receive_buffer_bytes);
-  }
-
-  ~Client() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  Client(const Client&) = delete;
-  Client& operator=(const Client&) = delete;
-
-  void send_line(const std::string& line) { send_raw(line + "\n"); }
-
-  void send_raw(const std::string& bytes) {
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t count =
-          ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-      ASSERT_GT(count, 0) << std::strerror(errno);
-      sent += static_cast<std::size_t>(count);
-    }
-  }
-
-  /// Reads one newline-terminated line; empty string on EOF/timeout
-  /// (with a test failure on timeout).
-  std::string read_line(double timeout_seconds = 30.0) {
-    Timer timer;
-    for (;;) {
-      const auto newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        const std::string line = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        return line;
-      }
-      const double remaining = timeout_seconds - timer.seconds();
-      if (remaining <= 0.0) {
-        ADD_FAILURE() << "timed out reading a line";
-        return {};
-      }
-      pollfd waiter{fd_, POLLIN, 0};
-      const int ready =
-          ::poll(&waiter, 1, static_cast<int>(remaining * 1000) + 1);
-      if (ready <= 0) continue;
-      char chunk[4096];
-      const ssize_t count = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (count == 0) return {};  // EOF
-      if (count < 0) {
-        if (errno == EINTR) continue;
-        ADD_FAILURE() << "recv: " << std::strerror(errno);
-        return {};
-      }
-      buffer_.append(chunk, static_cast<std::size_t>(count));
-    }
-  }
-
-  /// Reads events until one matches `event` kind (optionally a specific
-  /// request id); fails and returns null on timeout/EOF.
-  io::Json wait_event(const std::string& event, const std::string& id = {},
-                      double timeout_seconds = 30.0) {
-    Timer timer;
-    while (timer.seconds() < timeout_seconds) {
-      const std::string line =
-          read_line(timeout_seconds - timer.seconds());
-      if (line.empty()) break;
-      const io::Json parsed = io::Json::parse(line);
-      if (parsed.at("event").as_string() != event) continue;
-      if (!id.empty()) {
-        const io::Json* event_id = parsed.find("id");
-        if (event_id == nullptr || event_id->as_string() != id) continue;
-      }
-      return parsed;
-    }
-    ADD_FAILURE() << "no '" << event << "' event arrived";
-    return io::Json();
-  }
-
-  bool at_eof(double timeout_seconds = 10.0) {
-    Timer timer;
-    while (timer.seconds() < timeout_seconds) {
-      pollfd waiter{fd_, POLLIN, 0};
-      if (::poll(&waiter, 1, 100) <= 0) continue;
-      char chunk[4096];
-      const ssize_t count = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (count == 0) return true;
-      if (count < 0 && errno != EINTR) return true;
-      if (count > 0) buffer_.append(chunk, static_cast<std::size_t>(count));
-    }
-    return false;
-  }
-
- private:
-  // ASSERT macros return values and so cannot live in the constructor.
-  void connect_to(std::uint16_t port, int receive_buffer_bytes) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd_, 0) << std::strerror(errno);
-    if (receive_buffer_bytes > 0) {
-      // Before connect, so the advertised window is actually small —
-      // the backpressure test needs the kernel pipes to fill up.
-      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &receive_buffer_bytes,
-                   sizeof(receive_buffer_bytes));
-    }
-    sockaddr_in address{};
-    address.sin_family = AF_INET;
-    address.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr);
-    ASSERT_EQ(::connect(fd_, reinterpret_cast<sockaddr*>(&address),
-                        sizeof(address)),
-              0)
-        << std::strerror(errno);
-  }
-
-  int fd_ = -1;
-  std::string buffer_;
-};
+using Client = test::Line_client;
 
 /// One full serving stack on an ephemeral loopback port, the transport
 /// loop on its own thread — what quest_serve --tcp-port 0 builds.
@@ -260,7 +144,7 @@ TEST(Tcp_transport_test, ConcurrentClientsWithCollidingIdsGetTheirOwnResults) {
     threads.emplace_back([&, index] {
       const std::size_t n = 6 + static_cast<std::size_t>(index);
       Client client(stack.port());
-      const std::string name = "i" + std::to_string(index);
+      const std::string name = test::numbered("i", index);
       client.send_line(register_line(name, n, 100 + index));
       client.wait_event("registered");
       client.send_line(std::string(R"({"op":"optimize","id":"r1",)") +
@@ -464,6 +348,220 @@ TEST(Tcp_transport_test, ShutdownOpDrainsFinalEventsToTheClient) {
   ASSERT_TRUE(client.wait_event("shutdown-complete").is_object());
   EXPECT_TRUE(client.at_eof());
   EXPECT_TRUE(stack.wait_shutdown_served());
+}
+
+/// A connected loopback TCP pair: `local` to hand to adopt(), `peer`
+/// standing in for the remote end (a backend, for the router).
+struct Socket_pair {
+  int local = -1;
+  int peer = -1;
+};
+
+Socket_pair loopback_pair(int buffer_bytes = 0) {
+  Socket_pair pair;
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr);
+  socklen_t length = sizeof(address);
+  if (::bind(listener, reinterpret_cast<sockaddr*>(&address), length) != 0 ||
+      ::listen(listener, 1) != 0 ||
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&address),
+                    &length) != 0) {
+    ADD_FAILURE() << "loopback listener: " << std::strerror(errno);
+    ::close(listener);
+    return pair;
+  }
+  pair.local = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (buffer_bytes > 0) {
+    // Small kernel buffers on both sides, so a peer that stops reading
+    // backs bytes up into the transport quickly.
+    ::setsockopt(pair.local, SOL_SOCKET, SO_SNDBUF, &buffer_bytes,
+                 sizeof(buffer_bytes));
+    ::setsockopt(listener, SOL_SOCKET, SO_RCVBUF, &buffer_bytes,
+                 sizeof(buffer_bytes));
+  }
+  if (::connect(pair.local, reinterpret_cast<sockaddr*>(&address),
+                sizeof(address)) != 0) {
+    ADD_FAILURE() << "loopback connect: " << std::strerror(errno);
+  }
+  pair.peer = ::accept(listener, nullptr, nullptr);
+  ::close(listener);
+  return pair;
+}
+
+/// Transport handlers that record what they see, for tests of the bare
+/// transport. Callbacks run on the loop thread; tests poll from theirs.
+class Recorder {
+ public:
+  Transport::Handlers handlers() {
+    Transport::Handlers handlers;
+    handlers.on_open = [this](Connection_id id) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      opened_.push_back(id);
+    };
+    handlers.on_data = [this](Connection_id id, std::string_view chunk) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      data_[id].append(chunk);
+    };
+    handlers.on_close = [this](Connection_id id) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      closed_.insert(id);
+    };
+    return handlers;
+  }
+
+  std::vector<Connection_id> opened() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return opened_;
+  }
+  std::string data(Connection_id id) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return data_[id];
+  }
+  bool closed(Connection_id id) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return closed_.count(id) != 0;
+  }
+
+  /// Polls `condition` until it holds or `seconds` pass.
+  template <typename Condition>
+  static bool eventually(Condition&& condition, double seconds = 10.0) {
+    Timer timer;
+    while (timer.seconds() < seconds) {
+      if (condition()) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return condition();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<Connection_id> opened_;
+  std::map<Connection_id, std::string> data_;
+  std::set<Connection_id> closed_;
+};
+
+/// A bare transport with its loop on its own thread.
+class Loop {
+ public:
+  explicit Loop(Tcp_options options = {})
+      : transport(std::move(options)),
+        thread_([this] { transport.run(recorder.handlers()); }) {}
+  ~Loop() {
+    transport.stop();
+    thread_.join();
+  }
+
+  Recorder recorder;
+  Tcp_transport transport;
+
+ private:
+  std::thread thread_;
+};
+
+std::string read_available(int fd, double seconds) {
+  std::string bytes;
+  Timer timer;
+  while (timer.seconds() < seconds && bytes.find('\n') == std::string::npos) {
+    pollfd waiter{fd, POLLIN, 0};
+    if (::poll(&waiter, 1, 10) <= 0) continue;
+    char chunk[4096];
+    const ssize_t count = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (count <= 0) break;
+    bytes.append(chunk, static_cast<std::size_t>(count));
+  }
+  return bytes;
+}
+
+TEST(Tcp_transport_test, AdoptedSocketIsServedWithoutOnOpen) {
+  Loop loop;
+  const Socket_pair pair = loopback_pair();
+  // adopt() from this thread, not the loop's.
+  const Connection_id link = loop.transport.adopt(pair.local, /*owner=*/0);
+  EXPECT_NE(link, 0u);
+
+  ASSERT_EQ(::send(pair.peer, "hello\n", 6, MSG_NOSIGNAL), 6);
+  EXPECT_TRUE(Recorder::eventually(
+      [&] { return loop.recorder.data(link) == "hello\n"; }));
+
+  EXPECT_TRUE(loop.transport.send(link, "world"));
+  EXPECT_EQ(read_available(pair.peer, 10.0), "world\n");
+
+  ::close(pair.peer);
+  EXPECT_TRUE(Recorder::eventually([&] { return loop.recorder.closed(link); }));
+  EXPECT_TRUE(loop.recorder.opened().empty());
+  const Tcp_stats stats = loop.transport.stats();
+  EXPECT_EQ(stats.accepted, 0u);
+  EXPECT_EQ(stats.closed, 0u);
+  EXPECT_EQ(stats.connections, 0u);
+  EXPECT_FALSE(loop.transport.send(link, "gone"));
+}
+
+TEST(Tcp_transport_test, AdoptedSocketsDoNotCountTowardTheConnectionLimit) {
+  Tcp_options tcp;
+  tcp.max_connections = 1;
+  Loop loop(tcp);
+  const Socket_pair first = loopback_pair();
+  const Socket_pair second = loopback_pair();
+  loop.transport.adopt(first.local, 0);
+  loop.transport.adopt(second.local, 0);
+
+  Client client(loop.transport.port());
+  client.send_line("ping");
+  ASSERT_TRUE(Recorder::eventually(
+      [&] { return loop.recorder.opened().size() == 1; }));
+  const Connection_id id = loop.recorder.opened().front();
+  EXPECT_TRUE(Recorder::eventually(
+      [&] { return loop.recorder.data(id) == "ping\n"; }));
+  const Tcp_stats stats = loop.transport.stats();
+  EXPECT_EQ(stats.refused, 0u);
+  EXPECT_EQ(stats.accepted, 1u);
+  EXPECT_EQ(stats.connections, 1u);
+  ::close(first.peer);
+  ::close(second.peer);
+}
+
+TEST(Tcp_transport_test, StalledAdoptedPeerPausesItsOwnerNotItself) {
+  Tcp_options tcp;
+  tcp.write_buffer_cap = 4096;
+  Loop loop(tcp);
+  Client owner(loop.transport.port());
+  ASSERT_TRUE(Recorder::eventually(
+      [&] { return loop.recorder.opened().size() == 1; }));
+  const Connection_id owner_id = loop.recorder.opened().front();
+  const Socket_pair pair = loopback_pair(/*buffer_bytes=*/4096);
+  const Connection_id link = loop.transport.adopt(pair.local, owner_id);
+
+  // The peer never reads: the link's backlog passes the cap.
+  const std::string filler(1024, 'x');
+  for (int i = 0; i < 4096 && loop.transport.stats().reads_paused == 0;
+       ++i) {
+    ASSERT_TRUE(loop.transport.send(link, filler));
+    if (i % 64 == 63) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(Recorder::eventually(
+      [&] { return loop.transport.stats().reads_paused > 0; }));
+
+  // The owner is no longer read; the link still is.
+  owner.send_line("held");
+  ASSERT_EQ(::send(pair.peer, "still read\n", 11, MSG_NOSIGNAL), 11);
+  EXPECT_TRUE(Recorder::eventually(
+      [&] { return loop.recorder.data(link) == "still read\n"; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(loop.recorder.data(owner_id), "");
+
+  // The peer drains; the owner's reads resume.
+  std::thread drain([&] {
+    char chunk[65536];
+    while (::recv(pair.peer, chunk, sizeof(chunk), 0) > 0) {
+    }
+  });
+  EXPECT_TRUE(Recorder::eventually(
+      [&] { return loop.recorder.data(owner_id) == "held\n"; }));
+  ::shutdown(pair.peer, SHUT_RDWR);
+  drain.join();
+  ::close(pair.peer);
 }
 
 TEST(Tcp_transport_test, ConcurrentSendersNeverLoseALoopWakeup) {

@@ -14,7 +14,7 @@
 
 #include "quest/common/error.hpp"
 #include "quest/io/json.hpp"
-#include "quest/serve/transport.hpp"
+#include "quest/serve/tcp_transport.hpp"
 
 namespace quest {
 namespace {
@@ -76,7 +76,7 @@ TEST(Router_test, MergeOfNothingStillReportsFleetShape) {
 }
 
 TEST(Router_test, RejectsAnEmptyBackendList) {
-  serve::Stdio_transport transport;
+  serve::Tcp_transport transport(serve::Tcp_options{});
   cluster::Replica_options options;  // no backends, default R=1
   EXPECT_THROW(cluster::Replica_router(options, transport), Error);
 }

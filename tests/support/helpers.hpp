@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "quest/common/rng.hpp"
 #include "quest/model/instance.hpp"
@@ -26,6 +27,15 @@ inline ::testing::AssertionResult costs_equal(double a, double b) {
   }
   return ::testing::AssertionFailure()
          << a << " vs " << b << " differ by " << std::fabs(a - b);
+}
+
+/// `prefix` followed by `number` in decimal: numbered("r", 3) is "r3".
+/// It appends, because the inlined insert behind `"r" + std::to_string(3)`
+/// draws a false -Wrestrict from GCC 12 in optimized builds.
+template <typename Number>
+std::string numbered(std::string prefix, Number number) {
+  prefix += std::to_string(number);
+  return prefix;
 }
 
 /// Uniform random instance with selectivities in (0, 1] — the paper's
